@@ -163,14 +163,7 @@ def lint_text(
     except ParseError as error:
         report = LintReport(path=path, fingerprint=registry.fingerprint(config))
         token = error.token
-        position = Position(
-            token.line,
-            token.column,
-            token.end_line if token.end_line is not None else token.line,
-            token.end_column
-            if token.end_column is not None
-            else token.column + max(1, len(token.text)),
-        )
+        position = Position(token.line, token.column, token.end_line, token.end_column)
         bag = DiagnosticBag()
         bag.error(
             _strip_position_prefix(str(error), token.line, token.column),

@@ -19,13 +19,15 @@ way the paper's examples implicitly do: the *exact* words ``FUNC``,
 ``TYPE``, ``PRED``, ``MODE``, ``IN``, ``OUT`` are keywords, every other
 uppercase-initial identifier is a variable.
 
-Tokens carry line/column positions for the checker's diagnostics.
+Tokens carry line/column positions for the checker's diagnostics.  Only
+``\\n`` starts a new line; every other white-space character (``\\r``,
+``\\x1c``, ``\\x85``, ...) advances the column like any other character.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+import re
+from typing import Dict, List, NamedTuple
 
 __all__ = ["Token", "TokenKind", "LexError", "tokenize", "KEYWORDS"]
 
@@ -53,23 +55,20 @@ class TokenKind:
 KEYWORDS = frozenset({"FUNC", "TYPE", "PRED", "MODE", "IN", "OUT"})
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexeme with its source position (1-based line/column).
 
     ``end_line``/``end_column`` bound the lexeme as a half-open span
     (``end_column`` points just past the last character).  Tokens never
-    span lines, so ``end_line == line``.  The end fields are excluded
-    from equality/hash for backward compatibility with positional
-    comparisons.
+    span lines, so ``end_line == line``.
     """
 
     kind: str
     text: str
     line: int
     column: int
-    end_line: Optional[int] = field(default=None, compare=False)
-    end_column: Optional[int] = field(default=None, compare=False)
+    end_line: int
+    end_column: int
 
     def __str__(self) -> str:
         return f"{self.text!r} at {self.line}:{self.column}"
@@ -84,120 +83,74 @@ class LexError(Exception):
         self.column = column
 
 
-def _is_name_start(ch: str) -> bool:
-    # Require isalnum() too: some cased code points (e.g. circled
-    # letters, combining marks) pass islower()/isupper() without being
-    # alphanumeric, and would otherwise start a zero-length identifier.
-    return (ch.islower() or ch.isdigit()) and ch.isalnum()
+#: One alternative per lexeme class, tried in order at every position.
+#: ``\w`` is exactly ``str.isalnum() or "_"`` and ``\s`` exactly
+#: ``str.isspace()`` (both pinned by an exhaustive test), so a word is a
+#: maximal identifier run; whether it may *start* an identifier is decided
+#: per word by :func:`_word_kind`.  ``:-`` precedes ``:`` so the longer
+#: operator wins.
+_SCAN = re.compile(
+    r"(\w+|:-|>=|=:=|=<|[(),.+:<])"  # 1: a token
+    r"|(\n)[^\S\n]*"  # 2: a newline and the next line's indentation
+    r"|[^\S\n]+|%[^\n]*"  # white space or a comment: skipped
+    r"|(.)"  # 3: anything else is an error
+).finditer
+
+_OPERATOR_KINDS: Dict[str, str] = {
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    ",": TokenKind.COMMA,
+    ".": TokenKind.DOT,
+    "+": TokenKind.PLUS,
+    ":-": TokenKind.IMPLIES,
+    ":": TokenKind.COLON,
+    ">=": TokenKind.GEQ,
+    "=:=": TokenKind.EQARITH,
+    "=<": TokenKind.LEQ,
+    "<": TokenKind.LT,
+}
 
 
-def _is_variable_start(ch: str) -> bool:
-    return (ch.isupper() and ch.isalnum()) or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+def _word_kind(word: str) -> str:
+    """The kind of an identifier run, or ``""`` if its first character
+    cannot start one (a cased letter or digit, or ``_``, must)."""
+    if word in KEYWORDS:
+        return TokenKind.KEYWORD
+    first = word[0]
+    if first.isupper() or first == "_":
+        return TokenKind.VARIABLE
+    if first.islower() or first.isdigit():
+        return TokenKind.NAME
+    return ""
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize ``text``; the result always ends with an ``EOF`` token."""
-    return list(iter_tokens(text))
-
-
-def iter_tokens(text: str) -> Iterator[Token]:
-    """Yield tokens of ``text``, terminated by an ``EOF`` token."""
-    i = 0
+    new = tuple.__new__
+    kinds = dict(_OPERATOR_KINDS)  # grows a word -> kind cache per call
+    tokens: List[Token] = []
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    base = -1  # offset of the character before column 1 of ``line``
+    for match in _SCAN(text):
+        group = match.lastindex
+        if group == 1:
+            lexeme = match.group()
+            kind = kinds.get(lexeme)
+            if kind is None:
+                kind = kinds[lexeme] = _word_kind(lexeme)
+            start, end = match.span()
+            if not kind:
+                raise LexError(
+                    f"unexpected character {lexeme[0]!r}", line, start - base
+                )
+            append(new(Token, (kind, lexeme, line, start - base, line, end - base)))
+        elif group == 2:
             line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            # Track columns through the comment so a file ending in a
-            # comment (no trailing newline) still positions EOF correctly.
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start_line, start_col = line, col
-        if ch == "(":
-            yield Token(TokenKind.LPAREN, "(", start_line, start_col, line, start_col + 1)
-            i += 1
-            col += 1
-            continue
-        if ch == ")":
-            yield Token(TokenKind.RPAREN, ")", start_line, start_col, line, start_col + 1)
-            i += 1
-            col += 1
-            continue
-        if ch == ",":
-            yield Token(TokenKind.COMMA, ",", start_line, start_col, line, start_col + 1)
-            i += 1
-            col += 1
-            continue
-        if ch == ".":
-            yield Token(TokenKind.DOT, ".", start_line, start_col, line, start_col + 1)
-            i += 1
-            col += 1
-            continue
-        if ch == "+":
-            yield Token(TokenKind.PLUS, "+", start_line, start_col, line, start_col + 1)
-            i += 1
-            col += 1
-            continue
-        if text.startswith(":-", i):
-            yield Token(TokenKind.IMPLIES, ":-", start_line, start_col, line, start_col + 2)
-            i += 2
-            col += 2
-            continue
-        if ch == ":":
-            yield Token(TokenKind.COLON, ":", start_line, start_col, line, start_col + 1)
-            i += 1
-            col += 1
-            continue
-        if text.startswith(">=", i):
-            yield Token(TokenKind.GEQ, ">=", start_line, start_col, line, start_col + 2)
-            i += 2
-            col += 2
-            continue
-        if text.startswith("=:=", i):
-            yield Token(TokenKind.EQARITH, "=:=", start_line, start_col, line, start_col + 3)
-            i += 3
-            col += 3
-            continue
-        if text.startswith("=<", i):
-            yield Token(TokenKind.LEQ, "=<", start_line, start_col, line, start_col + 2)
-            i += 2
-            col += 2
-            continue
-        if ch == "<":
-            yield Token(TokenKind.LT, "<", start_line, start_col, line, start_col + 1)
-            i += 1
-            col += 1
-            continue
-        if _is_name_start(ch) or _is_variable_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            length = j - i
-            i = j
-            col += length
-            if word in KEYWORDS:
-                yield Token(TokenKind.KEYWORD, word, start_line, start_col, line, start_col + length)
-            elif _is_variable_start(word[0]):
-                yield Token(TokenKind.VARIABLE, word, start_line, start_col, line, start_col + length)
-            else:
-                yield Token(TokenKind.NAME, word, start_line, start_col, line, start_col + length)
-            continue
-        raise LexError(f"unexpected character {ch!r}", line, col)
-    yield Token(TokenKind.EOF, "", line, col, line, col)
+            base = match.start()
+        elif group == 3:
+            start = match.start()
+            raise LexError(f"unexpected character {text[start]!r}", line, start - base)
+    column = len(text) - base
+    append(new(Token, (TokenKind.EOF, "", line, column, line, column)))
+    return tokens

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the paper's concrete syntax.
+"""Parser for the paper's concrete syntax.
 
 Grammar (items end with ``.``):
 
@@ -9,11 +9,12 @@ Grammar (items end with ``.``):
                 | 'TYPE' namelist '.'
                 | 'PRED' name ( '(' predarg (',' predarg)* ')' )? '.'
                 | 'MODE' name '(' mode (',' mode)* ')' '.'
-                | ':-' atoms '.'                     (query)
+                | ':-' goals '.'                     (query)
                 | union '>=' union '.'               (subtype constraint)
-                | atom (':-' atoms)? '.'             (program clause)
+                | atom (':-' goals)? '.'             (program clause)
    namelist    := name (',' name)*
-   atoms       := atom (',' atom)*
+   goals       := goal (',' goal)*
+   goal        := atom | union infix union           (infix: ':' '<' '=<' '=:=' 'is')
    atom        := name ( '(' union (',' union)* ')' )?
    union       := primary ('+' primary)*             (left associative)
    primary     := variable
@@ -21,6 +22,10 @@ Grammar (items end with ``.``):
                 | '(' union ')'
    predarg     := mode? union                        (§7 inline modes)
    mode        := 'IN' | 'OUT'
+
+Items are parsed by recursive descent; terms (``union`` and everything
+below it) by one loop over an explicit stack, so term nesting depth is
+bounded by memory, not by the interpreter's recursion limit.
 
 ``predarg`` is the paper's Section 7 surface form ``PRED p(OUT nat).``:
 an optional ``IN``/``OUT`` keyword before each argument type.  Either
@@ -53,6 +58,11 @@ from .ast import (
     TypeDecl,
 )
 from .lexer import Token, TokenKind, tokenize
+
+#: An open ``name(`` or ``(`` during term parsing: functor (``None`` for a
+#: parenthesised union), arguments so far (``None`` likewise), and the
+#: enclosing level's pending left ``+`` operand.
+_Frame = Tuple[Optional[str], Optional[List[Term]], Optional[Term]]
 
 __all__ = [
     "ParseError",
@@ -95,14 +105,7 @@ class _Parser:
     def _span(self, start: Token) -> Position:
         """The source range from ``start`` through the last consumed token."""
         end = self.previous
-        return Position(
-            start.line,
-            start.column,
-            end.end_line if end.end_line is not None else end.line,
-            end.end_column
-            if end.end_column is not None
-            else end.column + len(end.text),
-        )
+        return Position(start.line, start.column, end.end_line, end.end_column)
 
     def check(self, kind: str, text: str = "") -> bool:
         token = self.current
@@ -122,50 +125,87 @@ class _Parser:
     # -- terms -------------------------------------------------------------
 
     def union(self) -> Term:
-        term = self.primary()
-        while self.accept(TokenKind.PLUS):
-            right = self.primary()
-            term = Struct(UNION_TYPE, (term, right))
-        return term
-
-    def primary(self) -> Term:
-        token = self.current
-        if token.kind == TokenKind.VARIABLE:
-            self.advance()
-            return Var(token.text)
-        if token.kind == TokenKind.NAME:
-            return self.application()
-        if self.accept(TokenKind.LPAREN):
-            inner = self.union()
-            self.expect(TokenKind.RPAREN, "')'")
-            return inner
-        raise ParseError("expected a term", token)
-
-    def application(self) -> Struct:
-        name = self.expect(TokenKind.NAME, "a name").text
-        if not self.accept(TokenKind.LPAREN):
-            return Struct(name, ())
-        args: List[Term] = [self.union()]
-        while self.accept(TokenKind.COMMA):
-            args.append(self.union())
-        self.expect(TokenKind.RPAREN, "')'")
-        return Struct(name, tuple(args))
+        """A ``union``: ``+``-joined primaries, left associative."""
+        return self._term([])
 
     def atom(self) -> Struct:
+        """A predicate application ``name`` or ``name(union, ...)``."""
         token = self.current
         if token.kind != TokenKind.NAME:
             raise ParseError("expected an atom (predicate application)", token)
-        return self.application()
+        if self.tokens[self.index + 1].kind != TokenKind.LPAREN:
+            self.advance()
+            return Struct(token.text, ())
+        self.index += 2
+        return self._term([(token.text, [], None)])  # type: ignore[return-value]
 
-    def atoms(self) -> Tuple[Struct, ...]:
-        out = [self.atom()]
-        while self.accept(TokenKind.COMMA):
-            out.append(self.atom())
-        return tuple(out)
+    def _term(self, frames: List[_Frame]) -> Term:
+        """Parse a union, or with one open application frame in ``frames``
+        (its ``name(`` already consumed) the rest of that application.
 
-    #: Infix built-in constraint goals of the typed-CLP extension: the
-    #: token kind → goal functor map for ``X < Y``, ``X =< Y``, ``X =:= Y``.
-    _BUILTIN_GOAL_TOKENS = {
+        One loop over an explicit stack of open frames, so nesting costs
+        heap rather than interpreter frames and has no depth limit.
+        """
+        tokens = self.tokens
+        i = self.index
+        whole_atom = bool(frames)
+        left: Optional[Term] = None  # pending left '+' operand at this level
+        while True:
+            token = tokens[i]
+            kind = token.kind
+            i += 1
+            if kind == TokenKind.NAME:
+                if tokens[i].kind == TokenKind.LPAREN:
+                    frames.append((token.text, [], left))
+                    left = None
+                    i += 1
+                    continue
+                term: Term = Struct(token.text, ())
+            elif kind == TokenKind.VARIABLE:
+                term = Var(token.text)
+            elif kind == TokenKind.LPAREN:
+                frames.append((None, None, left))
+                left = None
+                continue
+            else:
+                raise ParseError("expected a term", token)
+            # A primary is complete: fold it into its level's union, then
+            # close each frame that the following ')' tokens end.
+            while True:
+                if left is not None:
+                    term = Struct(UNION_TYPE, (left, term))
+                kind = tokens[i].kind
+                if kind == TokenKind.PLUS:
+                    left = term
+                    i += 1
+                    break
+                if not frames:
+                    self.index = i
+                    self.previous = tokens[i - 1]
+                    return term
+                functor, args, left = frames[-1]
+                if kind == TokenKind.COMMA and args is not None:
+                    args.append(term)
+                    left = None
+                    i += 1
+                    break
+                if kind != TokenKind.RPAREN:
+                    raise ParseError("expected ')'", tokens[i])
+                i += 1
+                frames.pop()
+                if args is not None:
+                    args.append(term)
+                    term = Struct(functor, tuple(args))  # type: ignore[arg-type]
+                    if whole_atom and not frames:
+                        self.index = i
+                        self.previous = tokens[i - 1]
+                        return term
+
+    #: Infix goals: Section 7's typed-unification constraint ``X : nat``
+    #: and the typed-CLP built-ins ``X < Y``, ``X =< Y``, ``X =:= Y``
+    #: (token kind -> goal functor); ``X is Y`` is matched by its text.
+    _INFIX_GOALS = {
+        TokenKind.COLON: ":",
         TokenKind.LT: "<",
         TokenKind.LEQ: "=<",
         TokenKind.EQARITH: "=:=",
@@ -181,17 +221,15 @@ class _Parser:
         passes treat them like any other atom.
         """
         lhs = self.union()
-        if self.accept(TokenKind.COLON):
-            rhs = self.union()
-            return Struct(":", (lhs, rhs))
-        for kind, functor in self._BUILTIN_GOAL_TOKENS.items():
-            if self.accept(kind):
-                return Struct(functor, (lhs, self.union()))
-        if self.check(TokenKind.NAME, "is"):
+        token = self.current
+        functor = self._INFIX_GOALS.get(token.kind)
+        if functor is None and token.kind == TokenKind.NAME and token.text == "is":
+            functor = "is"
+        if functor is not None:
             self.advance()
-            return Struct("is", (lhs, self.union()))
+            return Struct(functor, (lhs, self.union()))
         if not isinstance(lhs, Struct) or lhs.functor == UNION_TYPE:
-            raise ParseError("expected an atom or a ':' type constraint", self.current)
+            raise ParseError("expected an atom or a ':' type constraint", token)
         return lhs
 
     def query_goals(self) -> Tuple[Struct, ...]:

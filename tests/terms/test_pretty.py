@@ -1,10 +1,14 @@
 """Pretty-printer tests, including the parse∘pretty round-trip property."""
 
+import sys
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.recursion import ensure_recursion_capacity
 from repro.lang import parse_term
-from repro.terms import Struct, Var, atom, pretty, struct
+from repro.terms import Struct, Var, atom, pretty, struct, term_depth
 
 
 def test_pretty_variable():
@@ -63,4 +67,47 @@ def _terms(depth):
 @given(_terms(3))
 @settings(max_examples=300)
 def test_parse_pretty_round_trip(term):
+    assert parse_term(pretty(term)) == term
+
+
+@st.composite
+def _deep_terms(draw, max_depth=50):
+    """A spine of up to ``max_depth`` applications and ``+`` unions, with
+    small random siblings hanging off it; a union on the right of ``+``
+    prints parenthesised."""
+    term = draw(_terms(1))
+    for _ in range(draw(st.integers(0, max_depth))):
+        sibling = draw(_terms(1))
+        shape = draw(st.sampled_from(["arg", "left", "right"]))
+        if shape == "arg":
+            functor = draw(st.sampled_from(["f", "cons", "succ"]))
+            term = Struct(functor, (sibling, term) if draw(st.booleans()) else (term,))
+        elif shape == "left":
+            term = Struct("+", (term, sibling))
+        else:
+            term = Struct("+", (sibling, term))
+    return term
+
+
+@given(_deep_terms())
+@settings(max_examples=300)
+def test_parse_pretty_round_trip_deep_unions(term):
+    assert parse_term(pretty(term)) == term
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="the recursive printer overflows the C stack before Python 3.11",
+)
+def test_parse_pretty_round_trip_10k_deep():
+    wrappers = [
+        lambda t: Struct("cons", (Var("X"), t)),
+        lambda t: Struct("succ", (t,)),
+        lambda t: Struct("+", (atom("nil"), t)),  # prints as nil + (...)
+    ]
+    term = atom("0")
+    for level in range(10_000):
+        term = wrappers[level % 3](term)
+    assert term_depth(term) == 10_001
+    ensure_recursion_capacity(term)  # pretty() recurses; the parser does not
     assert parse_term(pretty(term)) == term
