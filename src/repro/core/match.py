@@ -47,7 +47,30 @@ from .recursion import ensure_recursion_capacity
 from .restrictions import validate_restrictions
 from .typing import in_agreement, merge_typings
 
-__all__ = ["MATCH_FAIL", "MATCH_BOTTOM", "MatchResult", "Matcher", "is_typing_result"]
+__all__ = [
+    "MATCH_FAIL",
+    "MATCH_BOTTOM",
+    "MEMO_LIMIT",
+    "MatchResult",
+    "Matcher",
+    "is_typing_result",
+]
+
+MEMO_LIMIT = 1 << 15
+"""Entries a matcher memo holds before it is cleared wholesale.
+
+Both :class:`Matcher` and the Section 7 ``ConstraintMatcher`` memoize on
+``(τ, t)`` pairs.  SLD renaming mints new variable names on every
+resolution step, so a long-lived matcher (REPL, server, typed run) keeps
+seeing new keys; past this size the memo is emptied, like the automata
+caches, rather than growing without bound."""
+
+
+def remember(memo: Dict, key: object, value: object) -> None:
+    """Store ``memo[key] = value``, clearing ``memo`` first when it is full."""
+    if len(memo) >= MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
 
 
 class _MatchFail:
@@ -161,7 +184,7 @@ class Matcher:
                 )
             if cached is None:
                 cached = self._match_resolved(type_term, term)
-                self._memo[key] = cached
+                remember(self._memo, key, cached)
             return cached
         return self._match_resolved(type_term, term)
 

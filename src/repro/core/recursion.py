@@ -6,7 +6,13 @@ limit (~1000 frames) is too small for the deep benchmark terms —
 ``succ^500(0)`` costs several Python frames per ``succ`` layer.  Rather
 than rewriting the algorithms iteratively (obscuring their one-to-one
 correspondence with the paper's definitions), entry points call
-:func:`ensure_recursion_capacity` with the depth of the terms involved.
+:func:`ensure_recursion_capacity` with the terms involved.
+
+The check is O(1) per term: every ``Struct`` carries its height in its
+``depth`` slot, filled at construction from its arguments' heights, so
+the public ``match``/``holds``/derivation calls that run it on every
+invocation (typed execution makes thousands per query) never walk the
+terms they are about to traverse.
 
 The limit is only ever *raised* (never lowered), so concurrent callers
 cannot trip each other.
@@ -50,7 +56,7 @@ def ensure_recursion_capacity(*terms: Term) -> None:
     limit changes rarely (tools such as hypothesis warn when the limit
     fluctuates mid-test), and capped at :data:`MAX_LIMIT`.
     """
-    deepest = max((term_depth(t) for t in terms), default=0)
+    deepest = max(map(term_depth, terms), default=0)
     needed = BASE_HEADROOM + FRAMES_PER_LEVEL * deepest
     if sys.getrecursionlimit() < needed:
         quantised = ((needed + _QUANTUM - 1) // _QUANTUM) * _QUANTUM

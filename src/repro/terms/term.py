@@ -234,15 +234,18 @@ class Struct:
     """A compound term ``functor(arg1, ..., argn)``.
 
     ``args`` is a tuple; a nullary struct (``args == ()``) is a constant.
-    The hash and the groundness flag are computed once per canonical
-    node: terms are used heavily as dictionary keys in the subtype
-    engine's memo tables, and the engine asks "is this ground?" at every
-    step — both must be O(1).  With interning on, constructing a term
+    The hash, the groundness flag and the tree height (``depth``) are
+    computed once per canonical node: terms are used heavily as
+    dictionary keys in the subtype engine's memo tables, the engine asks
+    "is this ground?" at every step, and every matcher entry point asks
+    how deep its operands are — all three must be O(1).  With interning on, constructing a term
     that already exists returns the existing node without recomputing
     anything.
     """
 
-    __slots__ = ("functor", "args", "_hash", "ground", "_vars", "_pretty", "__weakref__")
+    __slots__ = (
+        "functor", "args", "_hash", "depth", "ground", "_vars", "_pretty", "__weakref__"
+    )
 
     def __new__(cls, functor: str, args: Tuple["Term", ...] = ()) -> "Struct":
         table = _INTERN
@@ -314,11 +317,19 @@ def _init_struct(self: Struct, functor: str, args: Tuple["Term", ...], hashed: i
     object.__setattr__(self, "args", args)
     object.__setattr__(self, "_hash", hashed)
     ground = True
+    depth = 1
     for arg in args:
-        if not (isinstance(arg, Struct) and arg.ground):
+        if isinstance(arg, Struct):
+            if not arg.ground:
+                ground = False
+            if arg.depth >= depth:
+                depth = arg.depth + 1
+        else:
             ground = False
-            break
+            if depth == 1:
+                depth = 2
     object.__setattr__(self, "ground", ground)
+    object.__setattr__(self, "depth", depth)
     object.__setattr__(self, "_vars", None)
     object.__setattr__(self, "_pretty", None)
 
@@ -409,16 +420,10 @@ def term_size(term: Term) -> int:
 
 
 def term_depth(term: Term) -> int:
-    """Height of the term tree; a variable or constant has depth 1."""
-    depth = 0
-    stack: List[Tuple[Term, int]] = [(term, 1)]
-    while stack:
-        current, level = stack.pop()
-        if level > depth:
-            depth = level
-        if isinstance(current, Struct):
-            stack.extend((arg, level + 1) for arg in current.args)
-    return depth
+    """Height of the term tree; a variable or constant has depth 1.
+
+    O(1): every struct carries its height, filled at construction."""
+    return term.depth if isinstance(term, Struct) else 1
 
 
 def occurs_in(var: Var, term: Term) -> bool:

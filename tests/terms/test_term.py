@@ -1,6 +1,10 @@
 """Unit tests for the term representation and traversals."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.terms import (
     Struct,
@@ -11,6 +15,7 @@ from repro.terms import (
     is_ground,
     occurs_in,
     rename_apart,
+    set_interning,
     struct,
     subterms,
     symbols_of,
@@ -94,6 +99,43 @@ def test_deep_term_traversal_is_iterative():
     assert term_depth(term) == 50_001
     assert term_size(term) == 50_001
     assert is_ground(term)
+
+
+_shapes = st.recursive(
+    st.sampled_from(["X", "Y", "a", "b"]),
+    lambda children: st.tuples(
+        st.sampled_from(["f", "g"]), st.lists(children, min_size=1, max_size=3)
+    ),
+    max_leaves=40,
+)
+
+
+def _build(shape):
+    if isinstance(shape, str):
+        return Var(shape) if shape.isupper() else atom(shape)
+    functor, children = shape
+    return Struct(functor, tuple(_build(child) for child in children))
+
+
+def _height(term):
+    """Reference height: the recursive definition the cached depth must match."""
+    if isinstance(term, Struct):
+        return 1 + max((_height(arg) for arg in term.args), default=0)
+    return 1
+
+
+@settings(max_examples=300)
+@given(_shapes, st.booleans())
+def test_cached_depth_equals_recursive_height(shape, interned):
+    previous = set_interning(interned)
+    try:
+        term = _build(shape)
+    finally:
+        set_interning(previous)
+    assert term_depth(term) == _height(term)
+    restored = pickle.loads(pickle.dumps(term))
+    assert restored == term
+    assert term_depth(restored) == _height(term)
 
 
 def test_occurs_in():
