@@ -32,12 +32,12 @@ from repro.core import (
     Matcher,
     NaiveSubtypeProver,
     SubtypeEngine,
-    TypedInterpreter,
+    TypedRunner,
     WellTypedChecker,
 )
 from repro.core.derivation import DerivationBuilder, verify_derivation
 from repro.lang import parse_query, parse_term as T
-from repro.lp import Query
+from repro.lp import Database, Query, SLDEngine
 from repro.terms import Struct, Var
 from repro.workloads import (
     ILL_TYPED_EXAMPLES,
@@ -161,7 +161,8 @@ def build_rows(quick: bool = False) -> List[Row]:
 
     # -- E7: consistency overhead ------------------------------------------------
     append_module = load("append")
-    interpreter = TypedInterpreter(append_module.checker, append_module.program, check_program=False)
+    runner = TypedRunner(append_module.checker, append_module.program)
+    database = Database(append_module.program)
 
     def nil_list(n):
         t = Struct("nil", ())
@@ -170,14 +171,12 @@ def build_rows(quick: bool = False) -> List[Row]:
         return t
 
     query = Query((Struct("app", (nil_list(e7_elements), nil_list(1), Var("R"))),))
-    _, plain_dt = timed(
-        lambda: interpreter.run(query, check_resolvents=False, check_answers=False, check_query=False)
-    )
-    result, checked_dt = timed(lambda: interpreter.run(query, check_query=False))
+    _, plain_dt = timed(lambda: list(SLDEngine(database).solve(query.goals)))
+    result, checked_dt = timed(lambda: runner.run(query, check_answers=True))
     rows.append((f"E7 plain SLD, {e7_elements}-element append", fmt(plain_dt)))
     rows.append(
         (
-            f"E7 + per-resolvent re-check ({result.resolvents_checked} resolvents, "
+            f"E7 + per-resolvent re-check ({result.steps} resolvents, "
             f"{len(result.violations)} violations)",
             f"{fmt(checked_dt)} ({checked_dt / plain_dt:.1f}x)",
         )

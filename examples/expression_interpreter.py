@@ -17,7 +17,7 @@ are rejected by the checker, and execution re-checks every resolvent
 Run:  python examples/expression_interpreter.py
 """
 
-from repro import TypedInterpreter, check_text, pretty
+from repro import TypedRunner, check_text, pretty
 from repro.lang import parse_query
 from repro.lp import Query
 from repro.workloads import EXPRESSION_INTERPRETER
@@ -62,11 +62,11 @@ def main() -> None:
     module = check_text(EXPRESSION_INTERPRETER)
     assert module.ok, module.diagnostics.render()
     print(f"interpreter: {len(module.program)} clauses, all well-typed")
-    interpreter = TypedInterpreter(module.checker, module.program, check_program=False)
+    runner = TypedRunner(module.checker, module.program)
 
     for text in QUERIES:
         query = Query(parse_query(text).body)
-        result = interpreter.run(query, max_answers=4)
+        result = runner.run(query, max_answers=4, check_answers=True)
         print(f"\n?- {', '.join(pretty(g) for g in query.goals)}.")
         for answer in result.answers:
             bindings = ", ".join(
@@ -74,7 +74,7 @@ def main() -> None:
                 for var, value in sorted(answer.items(), key=lambda p: p[0].name)
             )
             print(f"   {bindings or 'yes.'}")
-        assert result.consistent
+        assert result.ok
 
     print("\nill-typed evaluator queries (all rejected by the checker):")
     for text in ILL_TYPED:

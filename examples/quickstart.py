@@ -10,7 +10,7 @@ but ill-typed query).
 Run:  python examples/quickstart.py
 """
 
-from repro import TypedInterpreter, check_text, pretty
+from repro import TypedRunner, check_text, pretty
 
 SOURCE = """
 % --- the paper's Section 1 declarations -------------------------------
@@ -52,12 +52,12 @@ def main() -> None:
     print(f"well-typed: {len(module.program)} clauses, {len(module.queries)} query")
 
     print("\n== running the query with per-resolvent consistency checks ==")
-    interpreter = TypedInterpreter(module.checker, module.program, check_program=False)
-    result = interpreter.run(module.queries[0])
+    runner = TypedRunner(module.checker, module.program)
+    result = runner.run(module.queries[0])
     for answer in result.answers:
         for variable, value in sorted(answer.items(), key=lambda p: p[0].name):
             print(f"  {variable} = {pretty(value)}")
-    print(f"  resolvents re-checked: {result.resolvents_checked}")
+    print(f"  resolvents re-checked: {result.steps}")
     print(f"  Theorem 6 violations:  {len(result.violations)} (expected 0)")
 
     print("\n== the paper's ill-typed query is rejected ==")

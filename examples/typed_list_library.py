@@ -2,14 +2,14 @@
 
 The kind of program the paper's introduction motivates — polymorphic
 lists with naturals — written in the declaration language, checked by the
-frontend, and exercised through the typed interpreter: append, reverse,
+frontend, and exercised through ``TypedRunner``: append, reverse,
 member, length, sum, with polymorphic instantiation happening per query
 (the η commitments of Definition 16).
 
 Run:  python examples/typed_list_library.py
 """
 
-from repro import TypedInterpreter, pretty
+from repro import TypedRunner, pretty
 from repro.lang import parse_query
 from repro.lp import Query
 from repro.workloads import load
@@ -36,13 +36,15 @@ QUERIES = [
 def main() -> None:
     module = load("list_library")
     print(f"list library: {len(module.program)} clauses, all well-typed")
-    interpreter = TypedInterpreter(module.checker, module.program, check_program=False)
+    runner = TypedRunner(module.checker, module.program)
 
     total_resolvents = 0
     total_violations = 0
     for text in QUERIES:
         query = Query(parse_query(text).body)
-        result = interpreter.run(query, max_answers=5)
+        result = runner.run(
+            query, max_answers=5, abort_on_violation=False, check_answers=True
+        )
         print(f"\n?- {', '.join(pretty(g) for g in query.goals)}.")
         if not result.answers:
             print("   no.")
@@ -55,7 +57,7 @@ def main() -> None:
                     for var, value in sorted(answer.items(), key=lambda p: p[0].name)
                 )
                 print(f"   {bindings}")
-        total_resolvents += result.resolvents_checked
+        total_resolvents += result.steps
         total_violations += len(result.violations) + len(result.answer_violations)
 
     print(

@@ -8,7 +8,7 @@ the Section 7 extensions (modes, filters).
 
 Quickstart::
 
-    from repro import check_text, TypedInterpreter
+    from repro import check_text, TypedRunner
 
     module = check_text('''
         FUNC nil, cons.
@@ -22,8 +22,8 @@ Quickstart::
         :- app(cons(nil,nil), nil, X).
     ''')
     assert module.ok
-    interpreter = TypedInterpreter(module.checker, module.program, check_program=False)
-    result = interpreter.run(module.queries[0])
+    runner = TypedRunner(module.checker, module.program)
+    result = runner.run(module.queries[0])
     print(result.answers)   # X = cons(nil, nil); every resolvent re-checked
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -46,7 +46,7 @@ from .core import (
     SubtypeConstraint,
     SubtypeEngine,
     SymbolTable,
-    TypedInterpreter,
+    TypedRunner,
     TypeSemantics,
     WellTypedChecker,
     deep_filter,
@@ -106,7 +106,7 @@ __all__ = [
     "MATCH_BOTTOM",
     "PredicateTypeEnv",
     "WellTypedChecker",
-    "TypedInterpreter",
+    "TypedRunner",
     "ModeEnv",
     "ModeChecker",
     "shallow_filter",

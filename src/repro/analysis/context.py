@@ -73,6 +73,7 @@ class LintContext:
     _engine_failed: bool = field(default=False, repr=False)
     _inference: Optional[object] = field(default=None, repr=False)
     _inference_failed: bool = field(default=False, repr=False)
+    _mode_inference: Optional[object] = field(default=None, repr=False)
 
     # -- construction --------------------------------------------------------
 
@@ -228,6 +229,17 @@ class LintContext:
             except (DeclarationError, RecursionError, ValueError):
                 self._inference_failed = True
         return self._inference
+
+    @property
+    def mode_inference(self):
+        """Declaration-aware producer positions for every predicate
+        (:class:`~repro.analysis.flow.ModeInference`), shared by TLP301
+        and the TLP6xx solver."""
+        if self._mode_inference is None:
+            from .flow import ModeInference
+
+            self._mode_inference = ModeInference(self)
+        return self._mode_inference
 
     # -- reporting -----------------------------------------------------------
 

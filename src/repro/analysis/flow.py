@@ -18,7 +18,8 @@ This pass finds exactly those supertype→subtype flows statically:
    OUT is conditional on success, so optimism about recursive calls is
    sound.  Predicates that are declared but never defined produce
    nothing — their positions consume.
-2. **Flow check.**  Each clause body / query is replayed left to right.
+2. **Flow check.**  Each clause / query is replayed left to right by
+   the walk the mode checker uses (:func:`repro.core.modes.dataflow`).
    Producer occurrences stamp their variables with the position's
    declared type; a later consumer occurrence at declared type ``τ``
    of a variable stamped ``σ`` is flagged when ``σ ≻ τ`` strictly —
@@ -34,10 +35,11 @@ termination guarantee requires both.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..checker.diagnostics import FixIt, Severity
 from ..core.builtins import BUILTIN_MODES, is_builtin_indicator
+from ..core.modes import IN, OUT, ModedAtom, dataflow
 from ..lang.ast import ClauseDecl, QueryDecl
 from ..terms.pretty import pretty
 from ..terms.term import Struct, Term, Var, variables_of
@@ -45,9 +47,6 @@ from .context import LintContext, _is_constraint_goal
 from .registry import register
 
 _Indicator = Tuple[str, int]
-
-IN = "IN"
-OUT = "OUT"
 
 
 def _declared_types(ctx: LintContext, atom: Struct) -> Optional[Tuple[Term, ...]]:
@@ -164,113 +163,84 @@ def check_information_flow(ctx: LintContext) -> None:
     engine = ctx.engine
     if engine is None:
         return  # no uniform+guarded constraint set: pass does not apply
-    inference = ModeInference(ctx)
     for clause in ctx.clause_items:
-        _check_flow(ctx, engine, inference, clause, clause.head, clause.body)
+        _check_flow(ctx, engine, clause, clause.head, clause.body)
     for query in ctx.query_items:
-        _check_flow(ctx, engine, inference, query, None, query.body)
+        _check_flow(ctx, engine, query, None, query.body)
 
 
 def _check_flow(
     ctx: LintContext,
     engine,
-    inference: ModeInference,
     owner,
     head: Optional[Struct],
     goals: Tuple[Struct, ...],
 ) -> None:
-    # var -> productions as (declared type, producing atom, 1-based arg pos)
-    produced: Dict[Var, List[Tuple[Term, Struct, int]]] = {}
+    def moded(atom: Struct, types: Tuple[Term, ...]) -> ModedAtom:
+        producers = ctx.mode_inference.producer_positions(atom)
+        return atom, [
+            (OUT if position in producers else IN, type_)
+            for position, type_ in enumerate(types)
+        ]
+
+    def body() -> Iterator[ModedAtom]:
+        for goal in goals:
+            if _is_constraint_goal(goal):
+                continue
+            types = _declared_types(ctx, goal)
+            if types is not None and len(types) == len(goal.args):
+                yield moded(goal, types)
+            # else: TLP201/TLP202 report the declaration problem
+
+    head_types = _declared_types(ctx, head) if head is not None else None
+    head_moded = moded(head, head_types) if head_types else None
     reported: Set[Tuple[str, int, str]] = set()
-
-    def produce(var: Var, sigma: Term, atom: Struct, position: int) -> None:
-        if variables_of(sigma):
-            return  # polymorphic position: the TLP6xx solver's territory
-        produced.setdefault(var, []).append((sigma, atom, position))
-
-    def consume(atom: Struct, position: int, arg: Term, tau: Term) -> None:
+    for use in dataflow(head_moded, body()):
+        tau, atom, var = use.type, use.atom, use.variable
         if variables_of(tau):
-            return  # polymorphic position: the TLP6xx solver's territory
-        for var in variables_of(arg):
-            for sigma, producer, producer_pos in produced.get(var, []):
-                if engine.more_general(tau, sigma):
-                    continue  # sub→super: the safe direction
-                if not engine.more_general(sigma, tau):
-                    continue  # incomparable: a typing problem, not a flow one
-                if (
-                    producer.indicator in ctx.mode_decls
-                    and atom.indicator in ctx.mode_decls
-                ):
-                    # Both endpoints carry explicit MODE declarations:
-                    # the flow is judged by the declared direction, and
-                    # any violation is TLP502's (with its structured
-                    # filter-insertion fix-it), not a TLP301 heuristic.
-                    continue
-                key = (var.name, position, pretty(atom))
-                if key in reported:
-                    continue
-                reported.add(key)
-                filter_name = _filter_name(sigma, tau)
-                fresh = f"{var.name}_{_suffix(tau)}"
-                ctx.report(
-                    check_information_flow._rule,
-                    f"variable {var.name} flows from supertype "
-                    f"{pretty(sigma)} (produced by {pretty(producer)} "
-                    f"argument {producer_pos}) into the strict-subtype "
-                    f"position {pretty(atom)} argument {position + 1} of "
-                    f"type {pretty(tau)} without an intervening filter "
-                    f"predicate",
-                    owner.position,
-                    fixits=(
-                        FixIt(
-                            f"insert a filter goal "
-                            f"`{filter_name}({var.name}, {fresh})` before "
-                            f"{pretty(atom)} and consume {fresh} instead "
-                            f"(declare `PRED {filter_name}"
-                            f"({pretty(sigma)}, {pretty(tau)}).` with "
-                            f"`MODE {filter_name}(IN, OUT).`)"
-                        ),
+            continue  # polymorphic position: the TLP6xx solver's territory
+        for sigma, producer, producer_pos in use.productions:
+            if variables_of(sigma):
+                continue  # polymorphic producer: likewise
+            if engine.more_general(tau, sigma):
+                continue  # sub→super: the safe direction
+            if not engine.more_general(sigma, tau):
+                continue  # incomparable: a typing problem, not a flow one
+            if (
+                producer.indicator in ctx.mode_decls
+                and atom.indicator in ctx.mode_decls
+            ):
+                # Both endpoints carry explicit MODE declarations: the
+                # flow is judged by the declared direction, and any
+                # violation is TLP502's (with its structured
+                # filter-insertion fix-it), not a TLP301 heuristic.
+                continue
+            key = (var.name, use.position, pretty(atom))
+            if key in reported:
+                continue
+            reported.add(key)
+            filter_name = _filter_name(sigma, tau)
+            fresh = f"{var.name}_{_suffix(tau)}"
+            ctx.report(
+                check_information_flow._rule,
+                f"variable {var.name} flows from supertype "
+                f"{pretty(sigma)} (produced by {pretty(producer)} "
+                f"argument {producer_pos + 1}) into the strict-subtype "
+                f"position {pretty(atom)} argument {use.position + 1} of "
+                f"type {pretty(tau)} without an intervening filter "
+                f"predicate",
+                owner.position,
+                fixits=(
+                    FixIt(
+                        f"insert a filter goal "
+                        f"`{filter_name}({var.name}, {fresh})` before "
+                        f"{pretty(atom)} and consume {fresh} instead "
+                        f"(declare `PRED {filter_name}"
+                        f"({pretty(sigma)}, {pretty(tau)}).` with "
+                        f"`MODE {filter_name}(IN, OUT).`)"
                     ),
-                )
-
-    if head is not None:
-        head_types = _declared_types(ctx, head)
-        head_producers = inference.producer_positions(head)
-        if head_types is not None:
-            # The head's IN positions are produced by the caller.
-            for position, (arg, arg_type) in enumerate(
-                zip(head.args, head_types)
-            ):
-                if position not in head_producers:
-                    for var in variables_of(arg):
-                        produce(var, arg_type, head, position + 1)
-
-    for goal in goals:
-        if _is_constraint_goal(goal):
-            continue
-        types = _declared_types(ctx, goal)
-        if types is None or len(types) != len(goal.args):
-            continue  # TLP201/TLP202 report the declaration problem
-        producers = inference.producer_positions(goal)
-        # Consumers read before the goal binds its producers.
-        for position, (arg, tau) in enumerate(zip(goal.args, types)):
-            if position not in producers:
-                consume(goal, position, arg, tau)
-        for position, (arg, sigma) in enumerate(zip(goal.args, types)):
-            if position in producers:
-                for var in variables_of(arg):
-                    produce(var, sigma, goal, position + 1)
-
-    if head is not None:
-        head_types = _declared_types(ctx, head)
-        head_producers = inference.producer_positions(head)
-        if head_types is not None:
-            # OUT head positions are consumed by the clause's callers.
-            for position, (arg, arg_type) in enumerate(
-                zip(head.args, head_types)
-            ):
-                if position in head_producers:
-                    consume(head, position, arg, arg_type)
+                ),
+            )
 
 
 def _suffix(tau: Term) -> str:

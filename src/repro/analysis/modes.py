@@ -43,17 +43,9 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..checker.diagnostics import FixIt, Severity
 from ..core.declarations import DeclarationError
-from ..core.modes import (
-    FLOW,
-    IN,
-    OUT,
-    UNPRODUCED,
-    ModeChecker,
-    ModeEnv,
-    ModeReport,
-    ModeViolation,
-)
-from ..core.moded_welltyped import ModedWellTypedChecker
+from ..core.builtins import declare_builtins
+from ..core.modes import FLOW, IN, OUT, UNPRODUCED, ModeEnv, ModeReport, ModeViolation
+from ..core.moded_welltyped import ModedWellTypedChecker, unmoded_shared
 from ..core.predicate_types import PredicateTypeEnv
 from ..lang.ast import ClauseDecl, ModeDecl, PredDecl, QueryDecl
 from ..lp.clause import Clause, Query
@@ -72,13 +64,11 @@ _Owner = Union[ClauseDecl, QueryDecl]
 
 @dataclass
 class _ModeWorld:
-    """Everything the TLP5xx rules share: the typed/moded checkers over
-    the lint context's best-effort constraint set, the pure (declaration
-    -blind) mode inference, and the per-item mode reports."""
+    """Everything the TLP5xx rules share: the moded checker (and the
+    mode checker whose walk it runs) over the lint context's best-effort
+    constraint set, the pure (declaration-blind) mode inference, and the
+    per-item mode reports."""
 
-    predicate_types: PredicateTypeEnv
-    mode_env: ModeEnv
-    checker: ModeChecker
     moded: ModedWellTypedChecker
     pure: ModeInference
     reports: Dict[int, ModeReport] = field(default_factory=dict)
@@ -105,10 +95,16 @@ def _world(ctx: LintContext) -> Optional[_ModeWorld]:
                 mode_env.declare(name, decl.modes)
             except DeclarationError:
                 continue  # conflicting duplicates: TLP501 reports them
+        try:
+            declare_builtins(
+                predicate_types,
+                mode_env,
+                constraints.symbols.type_constructors,
+                (goal for owner in _owners(ctx) for goal in owner.body),
+            )
+        except DeclarationError:
+            pass  # a malformed numeric type: built-in calls stay unchecked
         world = _ModeWorld(
-            predicate_types,
-            mode_env,
-            ModeChecker(constraints, predicate_types, mode_env, engine=engine),
             ModedWellTypedChecker(
                 constraints, predicate_types, mode_env, engine=engine
             ),
@@ -135,9 +131,9 @@ def _checkable(world: _ModeWorld, owner: _Owner) -> bool:
     for goal in _goals_of(owner):
         if _is_constraint_goal(goal):
             return False
-        if not world.predicate_types.has_type_for(goal):
+        if not world.moded.predicate_types.has_type_for(goal):
             return False
-        declared = world.predicate_types.type_of(goal)
+        declared = world.moded.predicate_types.type_of(goal)
         if len(declared.args) != len(goal.args):
             return False
     return True
@@ -148,9 +144,9 @@ def _report_for(world: _ModeWorld, owner: _Owner) -> ModeReport:
     report = world.reports.get(key)
     if report is None:
         if isinstance(owner, ClauseDecl):
-            report = world.checker.check_clause(Clause(owner.head, owner.body))
+            report = world.moded.mode_checker.check_clause(Clause(owner.head, owner.body))
         else:
-            report = world.checker.check_query(Query(owner.body))
+            report = world.moded.mode_checker.check_query(Query(owner.body))
         world.reports[key] = report
     return report
 
@@ -507,26 +503,11 @@ def check_well_modedness(ctx: LintContext) -> None:
 
 def _missing_mode_indicators(world: _ModeWorld, owner: _Owner) -> List[_Indicator]:
     """Predicates of ``owner`` that carry a shared (or repeated) variable
-    but have no mode declaration — the directional fallback's
-    precondition, recomputed so the fix-it need not parse reasons."""
-    goals = _goals_of(owner)
-    variable_atoms: Dict[Var, List[Struct]] = {}
-    for goal in goals:
-        for var in variables_of(goal):
-            variable_atoms.setdefault(var, []).append(goal)
+    but have no mode declaration, so the fix-it need not parse reasons."""
     missing: List[_Indicator] = []
-    for var, touching in variable_atoms.items():
-        multi_position = any(
-            sum(1 for arg in atom.args for v in variables_of(arg) if v == var) > 1
-            for atom in touching
-        )
-        if len(touching) <= 1 and not multi_position:
-            continue
-        for atom in touching:
-            if world.mode_env.modes_of(atom) is not None:
-                continue
-            if atom.indicator not in missing:
-                missing.append(atom.indicator)
+    for _, atom in unmoded_shared(_goals_of(owner), world.moded.modes):
+        if atom.indicator not in missing:
+            missing.append(atom.indicator)
     return missing
 
 

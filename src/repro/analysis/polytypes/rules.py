@@ -130,7 +130,7 @@ def _world(ctx: LintContext) -> Optional[_PolyWorld]:
                 world = _PolyWorld(
                     engine,
                     _candidates(ctx),
-                    ModeInference(ctx),
+                    ctx.mode_inference,
                     numeric,
                     builtin_sig,
                     poly,

@@ -1,8 +1,9 @@
 """Command-line driver: ``tlp-check file.tlp``.
 
 Checks each file and prints diagnostics; with ``--run`` it additionally
-executes the file's queries through the typed interpreter and prints the
-answers (with per-resolvent consistency checking, Theorem 6 style).
+executes the file's queries through ``TypedRunner`` and prints the
+answers (with per-resolvent and per-answer consistency checking,
+Theorem 6 style).
 
 Observability (``repro.obs``):
 
@@ -33,7 +34,7 @@ from typing import List, Optional
 
 from .. import obs
 from ..core.subtype import SubtypeEngine
-from ..core.typed_resolution import TypedInterpreter
+from ..core.typed_run import TYPED_RUN_CODE, TypedRunner
 from ..lp.constrained import ConstrainedInterpreter
 from ..lp.database import Database
 from ..terms.freeze import freeze_with_mapping
@@ -199,7 +200,7 @@ def _run_queries(module, max_answers: int, depth_limit: int) -> int:
     # For moded modules the directional checker judges resolvents, so
     # moded-but-not-strictly-well-typed resolvents are not false alarms.
     checker = module.moded_checker or module.checker
-    interpreter = TypedInterpreter(checker, module.program, check_program=False)
+    runner = TypedRunner(checker, module.program)
     constrained: Optional[ConstrainedInterpreter] = None
     violations = 0
     for query in module.queries:
@@ -222,17 +223,18 @@ def _run_queries(module, max_answers: int, depth_limit: int) -> int:
                 for residue in c_answer.residual:
                     print(f"     | {residue}")
             continue
-        result = interpreter.run(
+        result = runner.run(
             query,
             max_answers=max_answers,
             depth_limit=depth_limit,
-            check_query=False,
+            abort_on_violation=False,
+            check_answers=True,
         )
         if not result.answers:
             print("   no.")
         for answer in result.answers:
             _print_answer(answer)
-        if not result.consistent:
+        if not result.ok:
             violations += len(result.violations) + len(result.answer_violations)
             print(f"   !! {len(result.violations)} resolvent consistency violations")
     return violations
@@ -243,7 +245,6 @@ def _typed_run_queries(path: str, module, arguments) -> int:
     asserting subject reduction per step.  Returns the number of aborted
     queries; each violation prints as a span-carrying TLP590 diagnostic
     anchored at the query's source position."""
-    from ..core.typed_run import TYPED_RUN_CODE, TypedRunner
     from .diagnostics import Diagnostic, Severity
 
     checker = module.moded_checker or module.checker

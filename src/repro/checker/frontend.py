@@ -30,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from ..core.builtins import BUILTIN_MODES, builtin_heads, is_builtin_goal
+from ..core.builtins import declare_builtins
 from ..core.declarations import ConstraintSet, DeclarationError, SubtypeConstraint, SymbolTable
 from ..obs import METRICS, TRACER
 from ..core.moded_welltyped import ModedWellTypedChecker
-from ..core.modes import ModeChecker, ModeEnv
+from ..core.modes import ModeEnv
 from ..core.predicate_types import PredicateTypeEnv
 from ..core.restrictions import non_uniform_constraints, unguarded_constructors
 from ..core.shared_memo import SHARED_MEMO
@@ -242,25 +242,19 @@ def _check_source(
     module.modes = modes
 
     # Step 2c-bis: built-in constraint predicate signatures (typed-CLP
-    # extension).  Injected only when the source actually calls a
-    # built-in, so the paper's pure fragment is checked byte-for-byte as
-    # before.  A user declaration for a built-in indicator wins (the
-    # lint layer reports the shadowing); built-in modes join the ModeEnv
-    # only when the program is already moded, so unmoded files never
-    # flip into the directional fallback.
-    builtin_used = any(
-        is_builtin_goal(goal)
-        for item in source.items
-        if isinstance(item, (ClauseDecl, QueryDecl))
-        for goal in item.body
+    # extension).  The lint layer reports a user declaration that
+    # shadows one.
+    declare_builtins(
+        predicate_types,
+        modes,
+        symbols.type_constructors,
+        (
+            goal
+            for item in source.items
+            if isinstance(item, (ClauseDecl, QueryDecl))
+            for goal in item.body
+        ),
     )
-    if builtin_used:
-        for head in builtin_heads(symbols.type_constructors):
-            if predicate_types.has_type_for(head):
-                continue
-            predicate_types.declare(head)
-            if len(modes) and modes.modes_of(head) is None:
-                modes.declare(head.functor, BUILTIN_MODES[head.functor])
 
     # Step 2d: clauses and queries (object-level syntax checks).
     for item in source.of_kind(ClauseDecl):
@@ -373,8 +367,8 @@ def _check_source(
             bag.error(f"query is not well-typed: {query} — {report.reason}", item.position)
 
     # Step 4b: modes, when declared.
-    if len(modes):
-        mode_checker = ModeChecker(constraints, predicate_types, modes, engine=engine)
+    if moded is not None:
+        mode_checker = moded.mode_checker
         for clause, item in zip(module.program, clause_items):
             checkpoint(cancel)
             if any(_is_constraint_goal(goal) for goal in clause.body):

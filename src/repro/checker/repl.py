@@ -28,7 +28,7 @@ from typing import Iterable, List, Optional
 
 from .. import obs
 from ..core.subtype import SubtypeEngine
-from ..core.typed_resolution import TypedInterpreter
+from ..core.typed_run import TypedRunner
 from ..lang.lexer import LexError
 from ..lang.parser import ParseError, parse_query, parse_term
 from ..lp.clause import Query
@@ -72,7 +72,7 @@ class Repl:
         #: Original source text, kept for the ``:lint`` meta-command.
         self.source_text = source_text
         checker = module.moded_checker or module.checker
-        self.interpreter = TypedInterpreter(checker, module.program, check_program=False)
+        self.runner = TypedRunner(checker, module.program)
         self.engine = SubtypeEngine(module.constraints)
         #: Span profiler attached while ``:profile on`` is active.
         self.profiler: Optional[obs.SpanProfiler] = None
@@ -249,7 +249,7 @@ class Repl:
         """``:profile``: span-level self/cumulative times of REPL queries.
 
         ``on`` attaches a :class:`~repro.obs.SpanProfiler` to the tracer
-        (queries then emit ``typed_query``/``match_call``/``subtype_goal``
+        (queries then emit ``typed_run``/``match_call``/``subtype_goal``
         spans); bare ``:profile`` renders the aggregated table; ``reset``
         drops collected spans; ``off`` detaches.
         """
@@ -308,8 +308,11 @@ class Repl:
         report = checker.check_query(query)
         if not report.well_typed:
             return [f"ill-typed query: {report.reason}"]
-        result = self.interpreter.run(
-            query, max_answers=self.max_answers, check_query=False
+        result = self.runner.run(
+            query,
+            max_answers=self.max_answers,
+            abort_on_violation=False,
+            check_answers=True,
         )
         out: List[str] = []
         if not result.answers:
@@ -323,7 +326,7 @@ class Repl:
                     for var, value in sorted(answer.items(), key=lambda p: p[0].name)
                 )
                 out.append(bindings)
-        if not result.consistent:
+        if not result.ok:
             out.append(
                 f"!! {len(result.violations)} resolvent consistency violations"
             )

@@ -40,7 +40,6 @@ from .restrictions import (
 from .semantics import GeneralTypeSemantics, TypeSemantics, herbrand_universe
 from .subtype import SubtypeEngine, SubtypeStats
 from .subtype_sld import NaiveSubtypeProver, NaiveVerdict
-from .typed_resolution import TypedExecutionError, TypedExecutionResult, TypedInterpreter
 from .typed_run import (
     TYPED_RUN_CODE,
     SubjectReductionViolation,
@@ -113,13 +112,10 @@ __all__ = [
     "ClauseReport",
     "ProgramReport",
     "AtomCheck",
-    "TypedInterpreter",
     "TYPED_RUN_CODE",
     "SubjectReductionViolation",
     "TypedRunResult",
     "TypedRunner",
-    "TypedExecutionResult",
-    "TypedExecutionError",
     # extensions
     "IN",
     "OUT",

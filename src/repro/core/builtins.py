@@ -25,15 +25,20 @@ it); the lint layer reports the shadowing as TLP605.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from ..terms import Struct, Term
+
+if TYPE_CHECKING:
+    from .modes import ModeEnv
+    from .predicate_types import PredicateTypeEnv
 
 __all__ = [
     "BUILTIN_PREDICATES",
     "BUILTIN_MODES",
     "NUMERIC_TYPES",
     "builtin_heads",
+    "declare_builtins",
     "is_builtin_goal",
     "is_builtin_indicator",
     "numeric_type_name",
@@ -97,3 +102,25 @@ def builtin_heads(declared_types: Iterable[str]) -> Tuple[Struct, ...]:
         Struct(name, (tau,) * arity)
         for name, arity in sorted(BUILTIN_PREDICATES.items())
     )
+
+
+def declare_builtins(
+    predicate_types: "PredicateTypeEnv",
+    modes: "ModeEnv",
+    type_names: Iterable[str],
+    goals: Iterable[Struct],
+) -> None:
+    """Declare the built-in signatures into ``predicate_types`` when any
+    of ``goals`` calls a built-in, so the paper's pure fragment is
+    checked byte-for-byte as before.  A user declaration for a built-in
+    indicator wins.  :data:`BUILTIN_MODES` join ``modes`` only when the
+    program is already moded, so unmoded files never flip into the
+    directional fallback."""
+    if not uses_builtin_goals(goals):
+        return
+    for head in builtin_heads(type_names):
+        if predicate_types.has_type_for(head):
+            continue
+        predicate_types.declare(head)
+        if len(modes) and modes.modes_of(head) is None:
+            modes.declare(head.functor, BUILTIN_MODES[head.functor])

@@ -45,7 +45,7 @@ Theorem 6 is claimed for the moded system (the paper leaves it open;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..lp.clause import Clause, Program, Query
 from ..terms.pretty import pretty
@@ -55,12 +55,12 @@ from .constraint_match import ConstraintMatcher
 from .declarations import ConstraintSet, DeclarationError
 from .infer import CommonTypeInference
 from .match import MATCH_BOTTOM, MATCH_FAIL
-from .modes import IN, OUT, ModeEnv
+from .modes import UNPRODUCED, ModeChecker, ModeEnv, ModeViolation
 from .predicate_types import PredicateTypeEnv
 from .subtype import SubtypeEngine
 from .welltyped import ClauseReport, WellTypedChecker
 
-__all__ = ["ModedClauseReport", "ModedWellTypedChecker"]
+__all__ = ["ModedClauseReport", "ModedWellTypedChecker", "unmoded_shared"]
 
 
 @dataclass
@@ -76,15 +76,37 @@ class ModedClauseReport:
         return self.well_typed
 
 
-@dataclass
-class _Occurrence:
-    """One argument-position occurrence of a clause variable."""
+def unmoded_shared(atoms: Sequence[Struct], modes: ModeEnv) -> Iterator[Tuple[Var, Struct]]:
+    """``(variable, atom)`` pairs, in order, where ``atom`` carries a
+    variable shared with another atom (or repeated within it) but has no
+    mode declaration — the directional fallback's precondition."""
+    variable_atoms: Dict[Var, List[Struct]] = {}
+    for atom in atoms:
+        for var in variables_of(atom):
+            variable_atoms.setdefault(var, []).append(atom)
+    for var, touching in variable_atoms.items():
+        multi_atom = len(touching) > 1
+        multi_position = any(
+            sum(1 for arg in atom.args for v in variables_of(arg) if v == var) > 1
+            for atom in touching
+        )
+        if multi_atom or multi_position:
+            for atom in touching:
+                if modes.modes_of(atom) is None:
+                    yield var, atom
 
-    atom: Struct
-    position: int
-    mode: str  # IN or OUT
-    stage: int  # 0 = head inputs, i = body goal i, last = head outputs
-    type_term: Term  # the committed position type
+
+def _flow_reason(violation: ModeViolation) -> str:
+    if violation.kind == UNPRODUCED:
+        return (
+            f"variable {violation.variable} consumed at {pretty(violation.atom)} "
+            f"argument {violation.position + 1} before being produced"
+        )
+    return (
+        f"variable {violation.variable}: produced at "
+        f"{pretty(violation.produced_type)}, which does not flow into consumer "
+        f"type {pretty(violation.consumer_type)} at {pretty(violation.atom)}"
+    )
 
 
 class ModedWellTypedChecker:
@@ -106,6 +128,9 @@ class ModedWellTypedChecker:
         # table across every clause check, mode check, and witness audit
         # of a file instead of re-deriving hot subtype goals per stage.
         self.engine = engine or SubtypeEngine(constraints)
+        # The walk condition 2 runs; the frontend's mode pass and the
+        # TLP5xx rules reuse this instance.
+        self.mode_checker = ModeChecker(constraints, predicate_types, modes, engine=self.engine)
         self.constraint_matcher = self.strict.constraint_matcher
         self.inference = CommonTypeInference(constraints, self.constraint_matcher)
 
@@ -124,9 +149,8 @@ class ModedWellTypedChecker:
         return self._directional(None, query.goals, strict_report)
 
     def check_resolvent(self, goals: Tuple[Struct, ...]) -> ModedClauseReport:
-        """Well-typedness of a resolvent — lets the typed interpreter use
-        this checker for its Theorem 6-style re-checking on moded
-        programs."""
+        """Well-typedness of a resolvent — lets ``TypedRunner`` use this
+        checker for its Theorem 6-style re-checking on moded programs."""
         return self.check_query(Query(tuple(goals)))
 
     def check_program(self, program: Program) -> List[Tuple[Clause, ModedClauseReport]]:
@@ -147,24 +171,14 @@ class ModedWellTypedChecker:
 
         atoms: List[Struct] = ([head] if head is not None else []) + list(body)
         # Shared variables demand modes on every atom they touch.
-        variable_atoms: Dict[Var, List[Struct]] = {}
-        for atom in atoms:
-            for var in variables_of(atom):
-                variable_atoms.setdefault(var, []).append(atom)
-        for var, touching in variable_atoms.items():
-            multi_atom = len(touching) > 1
-            multi_position = any(
-                sum(1 for arg in atom.args for v in variables_of(arg) if v == var) > 1
-                for atom in touching
+        unmoded = next(unmoded_shared(atoms, self.modes), None)
+        if unmoded is not None:
+            var, atom = unmoded
+            return rejected(
+                f"strict check failed ({strict_report.reason}) and "
+                f"predicate {atom.functor}/{len(atom.args)} carrying "
+                f"shared variable {var} has no mode declaration"
             )
-            if multi_atom or multi_position:
-                for atom in touching:
-                    if self.modes.modes_of(atom) is None:
-                        return rejected(
-                            f"strict check failed ({strict_report.reason}) and "
-                            f"predicate {atom.functor}/{len(atom.args)} carrying "
-                            f"shared variable {var} has no mode declaration"
-                        )
 
         # Condition 1: every position types individually; collect the
         # commitment constraints exactly as the strict checker does.
@@ -205,20 +219,22 @@ class ModedWellTypedChecker:
         if solution is None:
             return rejected("type-variable commitment constraints are unsolvable")
 
-        # Condition 2: the dataflow pass.
-        occurrences = self._occurrences(head, atoms, position_types, solution)
-        produced: Dict[Var, List[Term]] = {}
-        ordered = sorted(occurrences, key=lambda o: (o.stage, o.mode == OUT))
-        for occurrence in ordered:
-            for var in self._variables_at(occurrence):
-                if occurrence.mode == IN and occurrence.stage > 0:
-                    # A body goal (or the head's OUT epilogue, encoded as
-                    # the final stage) consumes before it produces.
-                    failure = self._consume(var, occurrence, produced)
-                    if failure is not None:
-                        return rejected(failure)
-                else:
-                    produced.setdefault(var, []).append(occurrence.type_term)
+        # Condition 2: the dataflow pass over the committed position types.
+        moded = [
+            self.mode_checker.moded(
+                atom,
+                [solution.apply(type_) for type_ in types],
+                is_head=head is not None and index == 0,
+            )
+            for index, (atom, types) in enumerate(zip(atoms, position_types))
+        ]
+        if head is None:
+            flow = self.mode_checker.violations(None, moded)
+        else:
+            flow = self.mode_checker.violations(moded[0], moded[1:])
+        violation = next(flow, None)
+        if violation is not None:
+            return rejected(_flow_reason(violation))
         return ModedClauseReport(True, via="directional", strict_report=strict_report)
 
     # -- helpers -------------------------------------------------------------------------
@@ -257,58 +273,3 @@ class ModedWellTypedChecker:
                 return None
             inferred[var] = candidate
         return current.compose(Substitution(inferred))
-
-    def _occurrences(
-        self,
-        head: Optional[Struct],
-        atoms: List[Struct],
-        position_types: List[List[Term]],
-        solution: Substitution,
-    ) -> List[_Occurrence]:
-        out: List[_Occurrence] = []
-        final_stage = len(atoms) + 1
-        for index, atom in enumerate(atoms):
-            is_head = head is not None and index == 0
-            declared_modes = self.modes.modes_of(atom)
-            for position, arg_type in enumerate(position_types[index]):
-                committed = solution.apply(arg_type)
-                if is_head:
-                    mode = declared_modes[position] if declared_modes else IN
-                    # Head INs enter at stage 0; head OUTs are consumed
-                    # after the whole body (the final stage), flagged IN
-                    # so the dataflow treats them as consumers.
-                    if mode == IN:
-                        out.append(_Occurrence(atom, position, OUT, 0, committed))
-                    else:
-                        out.append(_Occurrence(atom, position, IN, final_stage, committed))
-                else:
-                    # Body goal i is stage i (atoms[0] is the head) or
-                    # stage i+1 in a query (no head at index 0).
-                    stage = index if head is not None else index + 1
-                    mode = declared_modes[position] if declared_modes else OUT
-                    out.append(_Occurrence(atom, position, mode, stage, committed))
-        return out
-
-    def _variables_at(self, occurrence: _Occurrence) -> Set[Var]:
-        return variables_of(occurrence.atom.args[occurrence.position])
-
-    def _consume(
-        self,
-        var: Var,
-        occurrence: _Occurrence,
-        produced: Dict[Var, List[Term]],
-    ) -> Optional[str]:
-        productions = produced.get(var)
-        if not productions:
-            return (
-                f"variable {var} consumed at {pretty(occurrence.atom)} "
-                f"argument {occurrence.position + 1} before being produced"
-            )
-        for sigma in productions:
-            if not self.engine.more_general(occurrence.type_term, sigma):
-                return (
-                    f"variable {var}: produced at {pretty(sigma)}, which does not "
-                    f"flow into consumer type {pretty(occurrence.type_term)} at "
-                    f"{pretty(occurrence.atom)}"
-                )
-        return None

@@ -33,7 +33,7 @@ clause's typing for their variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..lp.clause import Clause, Program, Query
 from ..terms.pretty import pretty
@@ -51,6 +51,8 @@ __all__ = [
     "ModeViolation",
     "ModeChecker",
     "ModeReport",
+    "Consumption",
+    "dataflow",
 ]
 
 IN = "IN"
@@ -136,6 +138,62 @@ class ModeReport:
         return self.ok
 
 
+class Consumption(NamedTuple):
+    """One consumer occurrence met by :func:`dataflow`: ``variable`` is
+    read at ``atom``'s argument ``position`` (0-based) under ``type``,
+    having been produced so far at the listed ``(σ, producing atom,
+    position)`` triples (empty: not produced yet)."""
+
+    atom: Struct
+    position: int
+    variable: Var
+    type: Term
+    productions: Sequence[Tuple[Term, Struct, int]]
+    at_head: bool  # the clause head's OUT epilogue, not a body goal
+
+
+#: An atom with its per-position ``(mode, type)`` pairs.
+ModedAtom = Tuple[Struct, Sequence[Tuple[str, Term]]]
+
+
+def _occurrences(moded: ModedAtom, mode: str) -> Iterator[Tuple[int, Var, Term]]:
+    """``(position, variable, type)`` for every variable at ``moded``'s
+    ``mode`` positions, left to right."""
+    atom, slots = moded
+    for position, (arg, (slot_mode, type_)) in enumerate(zip(atom.args, slots)):
+        if slot_mode == mode:
+            for var in variables_of(arg):
+                yield position, var, type_
+
+
+def dataflow(head: Optional[ModedAtom], body: Iterable[ModedAtom]) -> Iterator[Consumption]:
+    """The left-to-right producer/consumer walk of a clause or query.
+
+    The head's ``IN`` positions produce, each body goal consumes its
+    ``IN`` positions and then produces its ``OUT`` positions, and the
+    head's ``OUT`` positions consume at the end.  Every consumed
+    variable occurrence is yielded with the productions seen so far;
+    judging it is the caller's business.
+    """
+    produced: Dict[Var, List[Tuple[Term, Struct, int]]] = {}
+
+    def produce(moded: ModedAtom, mode: str) -> None:
+        for position, var, type_ in _occurrences(moded, mode):
+            produced.setdefault(var, []).append((type_, moded[0], position))
+
+    def consume(moded: ModedAtom, mode: str, at_head: bool) -> Iterator[Consumption]:
+        for position, var, type_ in _occurrences(moded, mode):
+            yield Consumption(moded[0], position, var, type_, produced.get(var, ()), at_head)
+
+    if head is not None:
+        produce(head, IN)
+    for moded in body:
+        yield from consume(moded, IN, False)
+        produce(moded, OUT)
+    if head is not None:
+        yield from consume(head, OUT, True)
+
+
 class ModeChecker:
     """Direction-safety of clauses and queries under mode declarations.
 
@@ -160,36 +218,15 @@ class ModeChecker:
 
     def check_query(self, query: Query) -> ModeReport:
         """Direction-safety of a query's left-to-right execution."""
-        report = ModeReport()
-        produced: Dict[Var, List[Term]] = {}
-        for goal in query.goals:
-            self._process_goal(goal, produced, report)
-        return report
+        body = (self._declared(goal, False) for goal in query.goals)
+        return ModeReport(list(self.violations(None, body)))
 
     def check_clause(self, clause: Clause) -> ModeReport:
         """Direction-safety of one clause: head INs produce, body runs
         left-to-right, head OUTs consume at the end."""
-        report = ModeReport()
-        produced: Dict[Var, List[Term]] = {}
-        head_modes = self.modes.modes_of(clause.head)
-        declared = self.predicate_types.type_of(clause.head)
-        # Head IN positions produce at their declared types.
-        for position, (arg, arg_type) in enumerate(zip(clause.head.args, declared.args)):
-            mode = head_modes[position] if head_modes else IN
-            if mode == IN:
-                for var in variables_of(arg):
-                    produced.setdefault(var, []).append(arg_type)
-        for goal in clause.body:
-            self._process_goal(goal, produced, report)
-        # Head OUT positions consume at the end.
-        for position, (arg, arg_type) in enumerate(zip(clause.head.args, declared.args)):
-            mode = head_modes[position] if head_modes else IN
-            if mode == OUT:
-                self._consume(
-                    clause.head, position, arg, arg_type, produced, report,
-                    at_head=True,
-                )
-        return report
+        head = self._declared(clause.head, True)
+        body = (self._declared(goal, False) for goal in clause.body)
+        return ModeReport(list(self.violations(head, body)))
 
     def check_program(self, program: Program) -> List[Tuple[Clause, ModeReport]]:
         """Check every clause; returns (clause, report) pairs."""
@@ -197,63 +234,45 @@ class ModeChecker:
 
     # -- the dataflow pass -----------------------------------------------------
 
-    def _process_goal(
-        self,
-        goal: Struct,
-        produced: Dict[Var, List[Term]],
-        report: ModeReport,
-    ) -> None:
-        goal_modes = self.modes.modes_of(goal)
-        declared = self.predicate_types.type_of(goal)
-        # Consumers first: the goal reads its IN arguments before binding
-        # its OUT arguments.
-        for position, (arg, arg_type) in enumerate(zip(goal.args, declared.args)):
-            mode = goal_modes[position] if goal_modes else OUT
-            if mode == IN:
-                self._consume(goal, position, arg, arg_type, produced, report)
-        for position, (arg, arg_type) in enumerate(zip(goal.args, declared.args)):
-            mode = goal_modes[position] if goal_modes else OUT
-            if mode == OUT:
-                for var in variables_of(arg):
-                    produced.setdefault(var, []).append(arg_type)
+    def moded(self, atom: Struct, types: Sequence[Term], is_head: bool) -> ModedAtom:
+        """``atom`` with its declared modes (the permissive default when
+        undeclared) paired with the given position types."""
+        modes = self.modes.modes_of(atom)
+        default = IN if is_head else OUT
+        return atom, [
+            (modes[position] if modes else default, type_)
+            for position, type_ in enumerate(types)
+        ]
 
-    def _consume(
-        self,
-        atom: Struct,
-        position: int,
-        arg: Term,
-        arg_type: Term,
-        produced: Dict[Var, List[Term]],
-        report: ModeReport,
-        at_head: bool = False,
-    ) -> None:
-        for var in variables_of(arg):
-            productions = produced.get(var)
-            if not productions:
-                report.violations.append(
-                    ModeViolation(
-                        atom,
-                        position,
-                        var,
-                        "consumed in an IN position before being produced",
-                        kind=UNPRODUCED,
-                        consumer_type=arg_type,
-                        at_head=at_head,
-                    )
+    def violations(
+        self, head: Optional[ModedAtom], body: Iterable[ModedAtom]
+    ) -> Iterator[ModeViolation]:
+        """Every direction-safety failure of the walk, in walk order."""
+        for use in dataflow(head, body):
+            if not use.productions:
+                yield ModeViolation(
+                    use.atom,
+                    use.position,
+                    use.variable,
+                    "consumed in an IN position before being produced",
+                    kind=UNPRODUCED,
+                    consumer_type=use.type,
+                    at_head=use.at_head,
                 )
                 continue
-            for sigma in productions:
-                if not self.engine.more_general(arg_type, sigma):
-                    report.violations.append(
-                        ModeViolation(
-                            atom,
-                            position,
-                            var,
-                            f"produced at type {pretty(sigma)}, which does not "
-                            f"flow into consumer type {pretty(arg_type)}",
-                            kind=FLOW,
-                            produced_type=sigma,
-                            consumer_type=arg_type,
-                            at_head=at_head,
-                        )
+            for sigma, _, _ in use.productions:
+                if not self.engine.more_general(use.type, sigma):
+                    yield ModeViolation(
+                        use.atom,
+                        use.position,
+                        use.variable,
+                        f"produced at type {pretty(sigma)}, which does not "
+                        f"flow into consumer type {pretty(use.type)}",
+                        kind=FLOW,
+                        produced_type=sigma,
+                        consumer_type=use.type,
+                        at_head=use.at_head,
                     )
+
+    def _declared(self, atom: Struct, is_head: bool) -> ModedAtom:
+        return self.moded(atom, self.predicate_types.type_of(atom).args, is_head)

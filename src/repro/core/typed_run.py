@@ -6,24 +6,32 @@ moded extension the corresponding guarantee is Theorem 6 of
 Smaus–Fages–Deransart ("Using Modes to Ensure Subject Reduction for
 Typed Logic Programs with Subtyping"): a well-*moded* program keeps its
 resolvents well-typed even when information widens sub→supertype
-through mode declarations.
+through mode declarations.  The corollary of Theorem 6: every computed
+answer substitution is type consistent.
 
-:class:`TypedRunner` is the dynamic witness for both: it drives the
-stock SLD engine and re-checks **every** resolvent through the module's
-checker — :class:`~repro.core.moded_welltyped.ModedWellTypedChecker`
-when ``MODE`` declarations are present, the strict Definition 16
-:class:`~repro.core.welltyped.WellTypedChecker` otherwise.  Unlike
-:class:`~repro.core.typed_resolution.TypedInterpreter` (the experiment
-harness, which *collects* violations), the runner **aborts** at the
-first violated resolvent: the recorded
+:class:`TypedRunner` is the dynamic witness for both, and the one typed
+executor behind ``tlp-check --run``/``--typed-run``, the REPL, and the
+E7 experiments: it drives the stock SLD engine and re-checks **every**
+resolvent through the checker it is given —
+:class:`~repro.core.moded_welltyped.ModedWellTypedChecker` when ``MODE``
+declarations are present, the strict Definition 16
+:class:`~repro.core.welltyped.WellTypedChecker` otherwise.  By default
+the runner **aborts** at the first violated resolvent; the recorded
 :class:`SubjectReductionViolation` carries the step index, the
 offending resolvent, and the checker's reason, and the CLI renders it
-as a span-carrying diagnostic under :data:`TYPED_RUN_CODE`.
+as a span-carrying diagnostic under :data:`TYPED_RUN_CODE`.  Without
+the abort it collects every violation and, on request, re-checks each
+answer-instantiated query as well.
 
-Telemetry rides under ``typed_run.*`` (steps, violations, queries,
-answers, aborts, and the ``typed_run.query`` timer) and every step
-emits a :class:`~repro.obs.events.SubjectReductionEvent` when tracing
-is on.
+Because the checker is (deliberately, like the paper's ``match``)
+conservative in its ``⊥`` corners, a re-check could in principle reject
+a genuinely well-typed resolvent; violations therefore carry the
+checker's reason.  On the paper's own examples this does not occur.
+
+Telemetry rides under ``typed_run.*`` (steps, violations,
+answer_violations, queries, answers, aborts, and the
+``typed_run.query`` timer) and every step emits a
+:class:`~repro.obs.events.SubjectReductionEvent` when tracing is on.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ TYPED_RUN_CODE = "TLP590"
 
 @dataclass(frozen=True)
 class SubjectReductionViolation:
-    """The first resolvent that failed its per-step re-check."""
+    """A resolvent that failed its per-step re-check."""
 
     step: int  # 1-based resolution step within the query
     goals: Tuple[Struct, ...]  # the offending resolvent
@@ -78,12 +86,19 @@ class TypedRunResult:
     query: Query
     answers: List[Substitution] = field(default_factory=list)
     steps: int = 0
-    violation: Optional[SubjectReductionViolation] = None
+    violations: List[SubjectReductionViolation] = field(default_factory=list)
+    #: Answers whose instantiated query failed its re-check, with the reason.
+    answer_violations: List[Tuple[Substitution, str]] = field(default_factory=list)
+
+    @property
+    def violation(self) -> Optional[SubjectReductionViolation]:
+        """The first violated resolvent, or ``None``."""
+        return self.violations[0] if self.violations else None
 
     @property
     def ok(self) -> bool:
-        """True iff every resolvent passed its subject-reduction check."""
-        return self.violation is None
+        """True iff every resolvent and checked answer passed."""
+        return not self.violations and not self.answer_violations
 
     @property
     def aborted(self) -> bool:
@@ -93,10 +108,6 @@ class TypedRunResult:
 class _Abort(Exception):
     """Internal: unwinds the SLD engine at the first violated resolvent."""
 
-    def __init__(self, violation: SubjectReductionViolation) -> None:
-        super().__init__(violation.reason)
-        self.violation = violation
-
 
 class TypedRunner:
     """SLD execution in the mode-checked configuration of Theorem 6.
@@ -105,16 +116,16 @@ class TypedRunner:
     checker for files with ``MODE`` declarations (so widening clauses
     like ``nat2int(X, X)`` do not trip false alarms), the strict
     Definition 16 checker otherwise.  Both expose ``check_resolvent``.
+    Admitting the program and the query is the caller's business.
     """
 
     def __init__(
         self,
         checker: Union[WellTypedChecker, ModedWellTypedChecker],
         program: Program,
-        first_arg_indexing: bool = True,
     ) -> None:
         self.checker = checker
-        self.database = Database(program, first_arg_indexing=first_arg_indexing)
+        self.database = Database(program)
 
     def run(
         self,
@@ -122,13 +133,16 @@ class TypedRunner:
         max_answers: Optional[int] = None,
         depth_limit: Optional[int] = None,
         abort_on_violation: bool = True,
+        check_answers: bool = False,
     ) -> TypedRunResult:
         """Execute ``query``, asserting subject reduction at every step.
 
         With ``abort_on_violation`` (the default) the run stops at the
         first ill-typed resolvent and the result records it; otherwise
-        the first violation is still recorded but execution continues —
-        useful for measuring how far an ill-moded program runs.
+        every violation is recorded and execution continues — useful
+        for measuring how far an ill-moded program runs.
+        ``check_answers`` also re-checks the query instantiated by each
+        answer (the corollary of Theorem 6).
         """
         result = TypedRunResult(query)
 
@@ -159,10 +173,9 @@ class TypedRunner:
             )
             if METRICS.enabled:
                 METRICS.inc("typed_run.violations")
-            if result.violation is None:
-                result.violation = violation
+            result.violations.append(violation)
             if abort_on_violation:
-                raise _Abort(violation)
+                raise _Abort
 
         engine = SLDEngine(self.database, on_resolvent=on_resolvent)
         if METRICS.enabled:
@@ -176,6 +189,8 @@ class TypedRunner:
             try:
                 for answer in engine.solve(query.goals, depth_limit=depth_limit):
                     result.answers.append(answer)
+                    if check_answers:
+                        self._check_answer(query, answer, result)
                     if max_answers is not None and len(result.answers) >= max_answers:
                         break
             except _Abort:
@@ -185,3 +200,13 @@ class TypedRunner:
             METRICS.inc("typed_run.answers", len(result.answers))
             METRICS.gauge_max("typed_run.max_steps_per_query", result.steps)
         return result
+
+    def _check_answer(
+        self, query: Query, answer: Substitution, result: TypedRunResult
+    ) -> None:
+        instantiated = tuple(answer.apply(goal) for goal in query.goals)
+        report = self.checker.check_resolvent(instantiated)  # type: ignore[arg-type]
+        if not report.well_typed:
+            result.answer_violations.append((answer, report.reason or "unknown"))
+            if METRICS.enabled:
+                METRICS.inc("typed_run.answer_violations")

@@ -10,7 +10,7 @@ changing them:
   (``obs.METRICS``) with named counters, gauges, and monotonic timers —
   disabled by default, ~free when off;
 * a structured trace-event stream (``obs.TRACER``) of typed events
-  (``subtype_goal``, ``sld_step``, ``match_call``, ``resolvent_check``,
+  (``subtype_goal``, ``sld_step``, ``match_call``, ``typed_run_step``,
   ``cache_probe``) whose parent-span ids nest derivations, with
   in-memory, JSON-lines, and tree-rendering sinks.
 
@@ -42,7 +42,6 @@ from .events import (
     CacheProbeEvent,
     MatchCallEvent,
     PhaseEvent,
-    ResolventCheckEvent,
     SubjectReductionEvent,
     SldStepEvent,
     SubtypeGoalEvent,
@@ -99,7 +98,6 @@ __all__ = [
     "SubtypeGoalEvent",
     "SldStepEvent",
     "MatchCallEvent",
-    "ResolventCheckEvent",
     "SubjectReductionEvent",
     "CacheProbeEvent",
     "PhaseEvent",

@@ -15,7 +15,7 @@ The kinds mirror the paper's moving parts:
 * ``sld_step`` — one resolution step of the generic SLD engine;
 * ``match_call`` — one ``match(τ, t)`` (Definition 13) or one
   constraint-collecting match (Section 7);
-* ``resolvent_check`` — one Theorem 6 re-check of a resolvent during
+* ``typed_run_step`` — one Theorem 6 re-check of a resolvent during
   typed execution;
 * ``cache_probe`` — one memo-table lookup (hit or miss);
 * ``phase`` — a generic named span (per-clause checker timings, whole
@@ -32,7 +32,6 @@ __all__ = [
     "SubtypeGoalEvent",
     "SldStepEvent",
     "MatchCallEvent",
-    "ResolventCheckEvent",
     "SubjectReductionEvent",
     "CacheProbeEvent",
     "PhaseEvent",
@@ -97,17 +96,6 @@ class MatchCallEvent(TraceEvent):
     typed_variables: int = 0
     equations: int = 0
     covers: int = 0
-
-
-@dataclass(frozen=True)
-class ResolventCheckEvent(TraceEvent):
-    """One Theorem 6 well-typedness re-check of a resolvent."""
-
-    kind: ClassVar[str] = "resolvent_check"
-
-    size: int = 0
-    well_typed: bool = True
-    reason: Optional[str] = None
 
 
 @dataclass(frozen=True)

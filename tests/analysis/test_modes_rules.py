@@ -124,6 +124,20 @@ def test_tlp502_consumed_before_produced_is_advisory():
     assert all(not fixit.replacement for fixit in found[0].fixits)
 
 
+def test_tlp502_reaches_clauses_that_call_a_builtin():
+    # The built-in signatures and modes are declared for lint exactly as
+    # for tlp-check, so calling `is` no longer hides the whole clause.
+    relay = "PRED relay(int, int).\nMODE relay(IN, OUT).\n"
+    without = MODED_LIBRARY + relay + "relay(N, N) :- makeint(X), usenat(X).\n"
+    with_builtin = (
+        MODED_LIBRARY + relay + "relay(N, Y) :- makeint(X), usenat(X), Y is N.\n"
+    )
+    assert codes(without) == ["TLP502"]
+    found = findings(with_builtin)
+    assert [d.code for d in found] == ["TLP502"]
+    assert "usenat(X) argument 1: variable X" in found[0].message
+
+
 # -- TLP503: head OUT the clause never delivers -------------------------------
 
 

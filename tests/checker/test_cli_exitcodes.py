@@ -124,7 +124,7 @@ def test_stats_with_run_counts_sld_steps():
     completed = tlp_check("--stats", "--run", "--max-answers", "2", ARITHMETIC)
     assert completed.returncode == 0
     assert _counter(completed.stdout, "sld.steps") > 0
-    assert _counter(completed.stdout, "typed.resolvents_checked") > 0
+    assert _counter(completed.stdout, "typed_run.steps") > 0
 
 
 # -- the --trace stream -------------------------------------------------------

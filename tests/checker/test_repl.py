@@ -141,7 +141,7 @@ def test_profile_command_cycle():
     assert "profiler off" in out[0]
     assert "profiler on" in text
     assert "span profile:" in text
-    assert "typed_query" in text  # real resolution spans were captured
+    assert "typed_run" in text  # real resolution spans were captured
     assert "(no spans profiled)" in text  # after :profile reset
     assert out[-1] == "profiler off"
     assert not obs.TRACER.enabled

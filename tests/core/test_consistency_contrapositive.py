@@ -9,7 +9,7 @@ wrong-direction flow) materialise as recorded violations.
 
 import pytest
 
-from repro.core import PredicateTypeEnv, TypedInterpreter, WellTypedChecker
+from repro.core import PredicateTypeEnv, TypedRunner, WellTypedChecker
 from repro.lang import parse_atom, parse_clause, parse_query
 from repro.lp import Clause, Program, Query
 from repro.workloads import paper_universe
@@ -35,10 +35,11 @@ def environment():
 
 
 def run_unchecked(checker, clauses, query_text):
-    """Execute bypassing the program/query admission checks (the guard
-    rails Theorem 6 relies on) but keeping the resolvent re-checking."""
-    interpreter = TypedInterpreter(checker, Program(clauses), check_program=False)
-    return interpreter.run(query(query_text), check_query=False)
+    """Execute without the program/query admission checks (the guard
+    rails Theorem 6 relies on) but with resolvent and answer re-checking,
+    collecting every violation."""
+    runner = TypedRunner(checker, Program(clauses))
+    return runner.run(query(query_text), abort_on_violation=False, check_answers=True)
 
 
 def test_section5_commitment_leak_is_detected(environment):
@@ -51,8 +52,7 @@ def test_section5_commitment_leak_is_detected(environment):
         ":- p(X), q(X).",
     )
     assert result.violations, "the ill-typed resolvent must be caught"
-    goals, reason = result.violations[0]
-    assert any(goal.functor == "q" for goal in goals)
+    assert any(goal.functor == "q" for goal in result.violations[0].goals)
 
 
 def test_two_context_query_produces_violation_or_bad_answer(environment):
@@ -66,7 +66,7 @@ def test_two_context_query_produces_violation_or_bad_answer(environment):
         ":- p(X), r(X).",
     )
     # p binds X := nil, leaving the ill-typed resolvent :- r(nil).
-    assert not result.consistent
+    assert not result.ok
 
 
 def test_type_incorrect_clause_pollutes_answers(environment):
@@ -97,5 +97,5 @@ def test_well_typed_control_group(environment):
         ],
         ":- app(cons(nil,nil), nil, R).",
     )
-    assert result.consistent
+    assert result.ok
     assert result.answers

@@ -204,3 +204,53 @@ def test_solve_commitments_bound_cover_is_skipped(setting):
         setting, equations=[("X", "nat")], covers=[("X", "int")]
     )
     assert solution is not None
+
+
+# -- the exact directional rejection text --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "modes, item, reason",
+    [
+        pytest.param(
+            {"p": [IN], "q": [OUT]},
+            ":- q(X), p(X).",
+            "variable X: produced at int, which does not flow into "
+            "consumer type nat at p(X)",
+            id="flow-at-body-goal",
+        ),
+        pytest.param(
+            {"p": [OUT], "q": [IN]},
+            ":- q(X), p(X).",
+            "variable X consumed at q(X) argument 1 before being produced",
+            id="unproduced-at-body-goal",
+        ),
+        pytest.param(
+            {"nat2int": [IN, OUT], "q": [IN]},
+            "nat2int(X, Y) :- q(X).",
+            "variable Y consumed at nat2int(X, Y) argument 2 before being "
+            "produced",
+            id="unproduced-at-head-out",
+        ),
+        pytest.param(
+            {"int2natx": [IN, OUT]},
+            "int2natx(X, X).",
+            "variable X: produced at int, which does not flow into "
+            "consumer type nat at int2natx(X, X)",
+            id="flow-at-head-out",
+        ),
+    ],
+)
+def test_directional_rejection_text(setting, modes, item, reason):
+    cset, predicate_types, mode_env = setting
+    predicate_types.declare(parse_atom("int2natx(int, nat)"))
+    for name, declared in modes.items():
+        mode_env.declare(name, declared)
+    checker = checker_for(setting)
+    if item.startswith(":-"):
+        report = checker.check_query(query(item))
+    else:
+        report = checker.check_clause(clause(item))
+    assert not report.well_typed
+    assert report.via == "directional"
+    assert report.reason == reason

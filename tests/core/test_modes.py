@@ -228,3 +228,54 @@ def test_violation_objects_carry_structured_fields(setting):
     assert violation.position == 0
     assert violation.at_head is False
     assert str(violation.produced_type) != str(violation.consumer_type)
+
+
+# -- the exact violation text and order --------------------------------------
+
+
+def test_violations_in_dataflow_order(setting):
+    # Body goals in order (each consumes before it produces), then the
+    # head's OUT epilogue.
+    cset, predicate_types, modes = setting
+    modes.declare("plus", [IN, IN, OUT])
+    modes.declare("q", [OUT])
+    modes.declare("p", [IN])
+    checker = checker_for(setting)
+    report = checker.check_clause(
+        clause("plus(A, B, C) :- p(D), q(E), p(E), p(A), q(C).")
+    )
+    assert [(str(v), v.kind, v.at_head) for v in report.violations] == [
+        (
+            "p(D) argument 1: variable D: consumed in an IN position before "
+            "being produced",
+            "unproduced",
+            False,
+        ),
+        (
+            "p(E) argument 1: variable E: produced at type int, which does "
+            "not flow into consumer type nat",
+            "flow",
+            False,
+        ),
+        (
+            "plus(A, B, C) argument 3: variable C: produced at type int, "
+            "which does not flow into consumer type nat",
+            "flow",
+            True,
+        ),
+    ]
+
+
+def test_unproduced_head_out_text(setting):
+    cset, predicate_types, modes = setting
+    modes.declare("plus", [IN, IN, OUT])
+    checker = checker_for(setting)
+    report = checker.check_clause(clause("plus(A, B, C)."))
+    assert [(str(v), v.kind, v.at_head) for v in report.violations] == [
+        (
+            "plus(A, B, C) argument 3: variable C: consumed in an IN position "
+            "before being produced",
+            "unproduced",
+            True,
+        ),
+    ]

@@ -69,6 +69,7 @@ def test_abort_on_violation_false_records_but_keeps_running():
     module, runner = runner_for(ILL_MODED)
     result = runner.run(module.queries[0], abort_on_violation=False)
     assert result.violation is not None
+    assert result.violation is result.violations[0]
     # Execution continued past the violation: the query simply fails.
     assert result.answers == []
     assert result.steps > result.violation.step or result.steps >= 1

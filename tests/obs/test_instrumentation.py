@@ -7,7 +7,7 @@ from repro.core import (
     Matcher,
     NaiveSubtypeProver,
     SubtypeEngine,
-    TypedInterpreter,
+    TypedRunner,
 )
 from repro.lang import parse_term as T
 from repro.workloads import load, nat_list, paper_universe
@@ -41,11 +41,11 @@ def run_pipeline():
     verdicts.append(naive.holds(T("nat"), T("pred(0)")))
     module = check_text(APPEND_QUERY_SOURCE)
     verdicts.append(module.ok)
-    interpreter = TypedInterpreter(module.checker, module.program, check_program=False)
-    result = interpreter.run(module.queries[0], max_answers=4)
+    runner = TypedRunner(module.checker, module.program)
+    result = runner.run(module.queries[0], max_answers=4, check_answers=True)
     verdicts.append(sorted(str(answer) for answer in result.answers))
-    verdicts.append(result.consistent)
-    verdicts.append(result.resolvents_checked)
+    verdicts.append(result.ok)
+    verdicts.append(result.steps)
     return verdicts
 
 
@@ -73,12 +73,12 @@ def test_counters_cover_every_subsystem():
         "sld.steps",
         "checker.modules_checked",
         "checker.clauses_checked",
-        "typed.queries",
-        "typed.resolvents_checked",
+        "typed_run.queries",
+        "typed_run.steps",
     ):
         assert counters.get(name, 0) > 0, f"counter {name} never fired"
     timers = metrics.snapshot()["timers"]
-    for name in ("subtype.holds", "match.match", "checker.check_source", "typed.query"):
+    for name in ("subtype.holds", "match.match", "checker.check_source", "typed_run.query"):
         assert name in timers, f"timer {name} never fired"
 
 
@@ -86,11 +86,11 @@ def test_trace_event_kinds_and_nesting():
     with obs.collect() as (_, sink):
         run_pipeline()
     kinds = {event.kind for event in sink.events}
-    assert {"subtype_goal", "match_call", "sld_step", "resolvent_check", "phase"} <= kinds
+    assert {"subtype_goal", "match_call", "sld_step", "typed_run_step", "phase"} <= kinds
     by_id = {event.span_id for event in sink.events}
     assert len(by_id) == len(sink.events)  # every event a fresh span id
-    # SLD steps of the typed query nest under its typed_query phase.
-    phases = [e for e in sink.events if e.kind == "phase" and e.name == "typed_query"]
+    # SLD steps of the typed query nest under its typed_run phase.
+    phases = [e for e in sink.events if e.kind == "phase" and e.name == "typed_run"]
     assert phases
     steps = [e for e in sink.events if e.kind == "sld_step"]
     assert steps

@@ -6,7 +6,7 @@ in, answers out, with the type system active throughout.
 
 import pytest
 
-from repro import TypedInterpreter, check_text, pretty
+from repro import TypedRunner, check_text, pretty
 from repro.lp import Query
 from repro.terms import Var
 
@@ -17,9 +17,9 @@ def run_file(source, max_answers=10):
     module = check_text(source)
     assert module.ok, module.diagnostics.render()
     checker = module.moded_checker or module.checker
-    interpreter = TypedInterpreter(checker, module.program, check_program=False)
+    runner = TypedRunner(checker, module.program)
     results = [
-        interpreter.run(query, max_answers=max_answers, check_query=False)
+        runner.run(query, max_answers=max_answers, check_answers=True)
         for query in module.queries
     ]
     return module, results
@@ -46,7 +46,7 @@ def test_append_pipeline():
     )
     assert answers_of(results[0], "R") == ["cons(nil, cons(nil, nil))"]
     assert len(results[1].answers) == 2
-    assert all(result.consistent for result in results)
+    assert all(result.ok for result in results)
 
 
 def test_arithmetic_pipeline():
@@ -69,7 +69,7 @@ def test_arithmetic_pipeline():
     )
     # fib(5) = 5.
     assert answers_of(results[0], "R") == ["succ(succ(succ(succ(succ(0)))))"]
-    assert results[0].consistent
+    assert results[0].ok
 
 
 def test_moded_pipeline_executes():
@@ -98,7 +98,7 @@ def test_moded_pipeline_executes():
     assert module.moded_checker is not None
     result = results[0]
     assert len(result.answers) == 2
-    assert result.consistent, result.violations
+    assert result.ok, result.violations
 
 
 def test_polymorphic_instantiation_per_query():
@@ -122,7 +122,7 @@ def test_polymorphic_instantiation_per_query():
     )
     assert answers_of(results[0], "N") == ["succ(succ(0))"]
     assert answers_of(results[1], "N") == ["succ(0)"]
-    assert all(result.consistent for result in results)
+    assert all(result.ok for result in results)
 
 
 def test_heterogeneous_ground_list_commits_nat():
@@ -144,7 +144,7 @@ def test_heterogeneous_ground_list_commits_nat():
         """
     )
     assert answers_of(results[0], "X") == ["0", "succ(0)"]
-    assert results[0].consistent
+    assert results[0].ok
 
 
 def test_deep_execution_stays_consistent():
@@ -160,5 +160,5 @@ def test_deep_execution_stays_consistent():
     lines.append(f":- app({big}, nil, R).")
     _, results = run_file("\n".join(lines))
     assert len(results[0].answers) == 1
-    assert results[0].resolvents_checked >= 30
-    assert results[0].consistent
+    assert results[0].steps >= 30
+    assert results[0].ok

@@ -14,7 +14,7 @@ from typing import List, Tuple
 
 import pytest
 
-from repro.core import GeneralTypeSemantics, TypedInterpreter
+from repro.core import GeneralTypeSemantics, TypedRunner
 from repro.lp import Query
 from repro.terms import Struct, Term, Var
 from repro.workloads import load
@@ -47,9 +47,9 @@ def swap_in_foreign(rng: random.Random, term: Term, foreign: Term) -> Term:
 @pytest.fixture(scope="module")
 def setting():
     module = load("list_library")
-    interpreter = TypedInterpreter(module.checker, module.program, check_program=False)
+    runner = TypedRunner(module.checker, module.program)
     semantics = GeneralTypeSemantics(module.constraints)
-    return module, interpreter, semantics
+    return module, runner, semantics
 
 
 def generate_queries(module, semantics, rng, count) -> List[Tuple[str, Query]]:
@@ -82,7 +82,7 @@ def generate_queries(module, semantics, rng, count) -> List[Tuple[str, Query]]:
 
 
 def test_random_queries_check_and_execute_consistently(setting):
-    module, interpreter, semantics = setting
+    module, runner, semantics = setting
     rng = random.Random(2026)
     accepted = rejected = 0
     for kind, query in generate_queries(module, semantics, rng, 120):
@@ -91,10 +91,10 @@ def test_random_queries_check_and_execute_consistently(setting):
             rejected += 1
             continue
         accepted += 1
-        result = interpreter.run(
-            query, max_answers=4, depth_limit=64, check_query=False
+        result = runner.run(
+            query, max_answers=4, depth_limit=64, check_answers=True
         )
-        assert result.consistent, (str(query), result.violations[:1])
+        assert result.ok, (str(query), result.violations[:1])
     # Both behaviours must actually be exercised by the generator.
     assert accepted >= 20, (accepted, rejected)
     assert rejected >= 10, (accepted, rejected)
@@ -103,7 +103,7 @@ def test_random_queries_check_and_execute_consistently(setting):
 def test_fully_abstract_queries_always_accepted(setting):
     """An atom of distinct fresh variables is always well-typed
     (every position types by clause 1 of match)."""
-    module, interpreter, _ = setting
+    module, _, _ = setting
     for declared in module.predicate_types:
         atom = Struct(
             declared.functor,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro import TypedInterpreter, pretty
+from repro import TypedRunner, pretty
 from repro.lang import parse_query
 from repro.lp import Query
 from repro.terms import Var
@@ -18,8 +18,8 @@ def module():
 
 
 @pytest.fixture(scope="module")
-def interpreter(module):
-    return TypedInterpreter(module.checker, module.program, check_program=False)
+def runner(module):
+    return TypedRunner(module.checker, module.program)
 
 
 def peano(n: int) -> str:
@@ -68,9 +68,10 @@ def random_bexp(rng: random.Random, depth: int):
     return f"leq({left_text}, {right_text})", left <= right
 
 
-def evaluate(interpreter, text: str):
+def evaluate(runner, text: str):
     query = Query(parse_query(f":- aeval({text}, R).").body)
-    result = interpreter.run(query, max_answers=2, check_resolvents=False)
+    result = runner.run(query, max_answers=2)
+    assert result.ok, text
     assert len(result.answers) == 1, text  # evaluation is deterministic
     return from_peano(pretty(result.answers[0].apply(Var("R"))))
 
@@ -83,41 +84,41 @@ def test_program_is_well_typed(module):
     assert len(module.program) == 17
 
 
-def test_simple_evaluations(interpreter):
-    assert evaluate(interpreter, f"lit({peano(3)})") == 3
-    assert evaluate(interpreter, f"add(lit({peano(1)}), lit({peano(2)}))") == 3
-    assert evaluate(interpreter, f"mul(lit({peano(2)}), lit({peano(3)}))") == 6
+def test_simple_evaluations(runner):
+    assert evaluate(runner, f"lit({peano(3)})") == 3
+    assert evaluate(runner, f"add(lit({peano(1)}), lit({peano(2)}))") == 3
+    assert evaluate(runner, f"mul(lit({peano(2)}), lit({peano(3)}))") == 6
 
 
-def test_conditionals(interpreter):
+def test_conditionals(runner):
     text = f"if_e(leq(lit({peano(1)}), lit({peano(2)})), lit({peano(7)}), lit({peano(0)}))"
-    assert evaluate(interpreter, text) == 7
+    assert evaluate(runner, text) == 7
     text = f"if_e(leq(lit({peano(3)}), lit({peano(2)})), lit({peano(7)}), lit({peano(1)}))"
-    assert evaluate(interpreter, text) == 1
+    assert evaluate(runner, text) == 1
 
 
-def test_boolean_evaluation(interpreter):
+def test_boolean_evaluation(runner):
     query = Query(parse_query(f":- beval(leq(lit({peano(2)}), lit({peano(2)})), B).").body)
-    result = interpreter.run(query)
+    result = runner.run(query)
     assert pretty(result.answers[0].apply(Var("B"))) == "tt"
 
 
-def test_differential_against_reference(interpreter):
+def test_differential_against_reference(runner):
     rng = random.Random(42)
     for _ in range(25):
         text, expected = random_aexp(rng, 3)
-        assert evaluate(interpreter, text) == expected, text
+        assert evaluate(runner, text) == expected, text
 
 
-def test_execution_is_consistent(interpreter):
+def test_execution_is_consistent(runner):
     query = Query(
         parse_query(
             f":- aeval(mul(add(lit({peano(1)}), lit({peano(1)})), lit({peano(2)})), R)."
         ).body
     )
-    result = interpreter.run(query)
-    assert result.consistent
-    assert result.resolvents_checked > 5
+    result = runner.run(query, check_answers=True)
+    assert result.ok
+    assert result.steps > 5
 
 
 def test_ill_typed_queries_rejected(module):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro import TypedInterpreter, pretty
+from repro import TypedRunner, pretty
 from repro.lang import parse_query
 from repro.lp import Query
 from repro.terms import Struct, Var
@@ -18,8 +18,8 @@ def module():
 
 
 @pytest.fixture(scope="module")
-def interpreter(module):
-    return TypedInterpreter(module.checker, module.program, check_program=False)
+def runner(module):
+    return TypedRunner(module.checker, module.program)
 
 
 def peano(n: int) -> Struct:
@@ -48,18 +48,11 @@ def decode_list(term) -> list:
     return out
 
 
-def sort_with_prolog(interpreter, values, check=False):
+def sort_with_prolog(runner, values):
     goal = Struct("isort", (nat_list_term(values), Var("S")))
-    result = interpreter.run(
-        Query((goal,)),
-        max_answers=1,
-        check_resolvents=check,
-        check_answers=check,
-        check_query=False,
-    )
+    result = runner.run(Query((goal,)), max_answers=1, check_answers=True)
     assert len(result.answers) == 1, values
-    if check:
-        assert result.consistent
+    assert result.ok
     return decode_list(result.answers[0].apply(Var("S")))
 
 
@@ -68,23 +61,23 @@ def test_program_well_typed(module):
     assert len(module.program) == 9
 
 
-def test_sorts_small_lists(interpreter):
-    assert sort_with_prolog(interpreter, []) == []
-    assert sort_with_prolog(interpreter, [2]) == [2]
-    assert sort_with_prolog(interpreter, [3, 1, 2]) == [1, 2, 3]
-    assert sort_with_prolog(interpreter, [1, 1, 0]) == [0, 1, 1]
+def test_sorts_small_lists(runner):
+    assert sort_with_prolog(runner, []) == []
+    assert sort_with_prolog(runner, [2]) == [2]
+    assert sort_with_prolog(runner, [3, 1, 2]) == [1, 2, 3]
+    assert sort_with_prolog(runner, [1, 1, 0]) == [0, 1, 1]
 
 
-def test_differential_against_sorted(interpreter):
+def test_differential_against_sorted(runner):
     rng = random.Random(17)
     for _ in range(20):
         values = [rng.randint(0, 6) for _ in range(rng.randint(0, 7))]
-        assert sort_with_prolog(interpreter, values) == sorted(values)
+        assert sort_with_prolog(runner, values) == sorted(values)
 
 
-def test_sorting_execution_consistent(interpreter):
+def test_sorting_execution_consistent(runner):
     # Theorem 6 observed on a multi-clause nondeterministic program.
-    assert sort_with_prolog(interpreter, [2, 0, 1], check=True) == [0, 1, 2]
+    assert sort_with_prolog(runner, [2, 0, 1]) == [0, 1, 2]
 
 
 def test_untyped_query_rejected(module):
