@@ -8,7 +8,8 @@ module measures the three legs — compilation, membership, match — in the
 *fresh-object-per-query* shape ``summary.py`` times (every engine and
 matcher attaches to the process-wide store, so only the first query per
 scope pays the walk), and **asserts the automaton path is ≥3x faster
-than the ``--no-automata`` template-expansion path** on both workloads.
+than the ``AUTOMATA.set_enabled(False)`` template-expansion path** on
+both workloads.
 
 Run standalone::
 
@@ -123,13 +124,13 @@ def automata_measurements(
     match_speedup = fallback_match / enabled_match if enabled_match else float("inf")
     assert member_speedup >= REQUIRED_SPEEDUP, (
         f"automaton membership only {member_speedup:.2f}x faster than the "
-        f"--no-automata template path (automaton {fmt(enabled_member)}, "
+        f"automata-off template path (automaton {fmt(enabled_member)}, "
         f"template {fmt(fallback_member)}); the table-walk "
         f"≥{REQUIRED_SPEEDUP:.0f}x contract is broken"
     )
     assert match_speedup >= REQUIRED_SPEEDUP, (
         f"automaton match only {match_speedup:.2f}x faster than the "
-        f"--no-automata template path (automaton {fmt(enabled_match)}, "
+        f"automata-off template path (automaton {fmt(enabled_match)}, "
         f"template {fmt(fallback_match)}); the table-walk "
         f"≥{REQUIRED_SPEEDUP:.0f}x contract is broken"
     )
@@ -144,7 +145,7 @@ def automata_measurements(
             f"{fmt(enabled_member)} ({member_speedup:.0f}x over template path)",
         ),
         (
-            f"TA2 template member: succ^{NAT_DEPTH}(0) ∈ nat, --no-automata",
+            f"TA2 template member: succ^{NAT_DEPTH}(0) ∈ nat, automata off",
             fmt(fallback_member),
         ),
         (
@@ -152,7 +153,7 @@ def automata_measurements(
             f"{fmt(enabled_match)} ({match_speedup:.0f}x over template path)",
         ),
         (
-            f"TA3 template match(list(nat), {LIST_LENGTH}-element list), --no-automata",
+            f"TA3 template match(list(nat), {LIST_LENGTH}-element list), automata off",
             fmt(fallback_match),
         ),
     ]
@@ -169,7 +170,7 @@ def automata_measurements(
         },
         {
             "id": f"automata.member.nat.{NAT_DEPTH}.fallback",
-            "label": f"succ^{NAT_DEPTH}(0) ∈ nat, --no-automata template path",
+            "label": f"succ^{NAT_DEPTH}(0) ∈ nat, automata-off template path",
             "ns_per_op": fallback_member * 1e9,
         },
         {
@@ -181,7 +182,7 @@ def automata_measurements(
             "id": f"automata.match.list.{LIST_LENGTH}.fallback",
             "label": (
                 f"match(list(nat), {LIST_LENGTH}-element list), "
-                "--no-automata template path"
+                "automata-off template path"
             ),
             "ns_per_op": fallback_match * 1e9,
         },

@@ -6,7 +6,7 @@ rebuilt from scratch, as batch traffic does — costs an intern-table walk
 plus one identity-keyed memo probe, instead of the seed path's eager
 re-hash plus a structural deep-compare on the probe.  This module
 measures exactly that and **asserts the interned warm path is ≥2x faster
-than the ``--no-intern`` seed path** on the deep-term workload.
+than the ``set_interning(False)`` seed path** on the deep-term workload.
 
 Two more scenarios track the cross-engine story: fresh engines attached
 to the process-wide shared memo (the batch service's shape — every
@@ -124,7 +124,7 @@ def intern_measurements(quick: bool = False) -> Tuple[List[Row], List[Dict[str, 
     speedup = warm_plain / warm_interned if warm_interned else float("inf")
     assert speedup >= REQUIRED_SPEEDUP, (
         f"interned warm re-query only {speedup:.2f}x faster than the "
-        f"--no-intern seed path (interned {fmt(warm_interned)}, "
+        f"interning-off seed path (interned {fmt(warm_interned)}, "
         f"plain {fmt(warm_plain)}); the term kernel's ≥{REQUIRED_SPEEDUP:.0f}x "
         f"contract is broken"
     )
@@ -141,7 +141,7 @@ def intern_measurements(quick: bool = False) -> Tuple[List[Row], List[Dict[str, 
             f"{fmt(warm_interned)} (table hit rate {interned_traffic.hit_rate:.0%})",
         ),
         (
-            f"I1 warm ground re-query, succ^{depth}(0), --no-intern",
+            f"I1 warm ground re-query, succ^{depth}(0), interning off",
             f"{fmt(warm_plain)} (interned {speedup:.1f}x faster)",
         ),
         (
@@ -161,7 +161,7 @@ def intern_measurements(quick: bool = False) -> Tuple[List[Row], List[Dict[str, 
         },
         {
             "id": "intern.warm_requery.no_intern",
-            "label": f"warm ground re-query, succ^{depth}(0), --no-intern",
+            "label": f"warm ground re-query, succ^{depth}(0), interning off",
             "ns_per_op": warm_plain * 1e9,
         },
         {

@@ -106,31 +106,6 @@ def _build_argument_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="collect telemetry and print the metrics table",
     )
-    parser.add_argument(
-        "--no-intern",
-        action="store_true",
-        help=(
-            "disable the hash-consing term intern table for this run "
-            "(differential-testing escape hatch; seed representation)"
-        ),
-    )
-    parser.add_argument(
-        "--no-shared-memo",
-        action="store_true",
-        help=(
-            "disable the process-wide shared subtype memo; every engine "
-            "keeps its own cold memo (seed behaviour)"
-        ),
-    )
-    parser.add_argument(
-        "--no-automata",
-        action="store_true",
-        help=(
-            "disable the compiled tree automata for ground subtype/match "
-            "queries; every goal runs the template-expansion path "
-            "(seed behaviour)"
-        ),
-    )
     return parser
 
 
@@ -307,44 +282,20 @@ def _run(arguments) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point (installed as the ``tlp-lint`` console script)."""
-    from ..core.automata import AUTOMATA
-    from ..core.shared_memo import SHARED_MEMO
-    from ..terms.term import set_interning
-
     parser = _build_argument_parser()
     arguments = parser.parse_args(argv)
-    # Escape hatches (restored on exit so library callers of main() keep
-    # their process-wide settings): the analyzer's typed rules — TLP3xx
-    # flow, TLP4xx success sets, TLP6xx constraint solving — all lean on
-    # the subtype engine, so the same seed-behaviour switches the checker
-    # exposes matter for differential runs of the linter too.
-    intern_before = set_interning(False) if arguments.no_intern else None
-    memo_before = (
-        SHARED_MEMO.set_enabled(False) if arguments.no_shared_memo else None
-    )
-    automata_before = (
-        AUTOMATA.set_enabled(False) if arguments.no_automata else None
-    )
+    if not arguments.stats:
+        return _run(arguments)
+    was_enabled = METRICS.enabled
+    obs.reset()
+    METRICS.enabled = True
     try:
-        if not arguments.stats:
-            return _run(arguments)
-        was_enabled = METRICS.enabled
-        obs.reset()
-        METRICS.enabled = True
-        try:
-            exit_code = _run(arguments)
-            print(file=sys.stderr)
-            print(obs.render_summary(), file=sys.stderr)
-            return exit_code
-        finally:
-            METRICS.enabled = was_enabled
+        exit_code = _run(arguments)
+        print(file=sys.stderr)
+        print(obs.render_summary(), file=sys.stderr)
+        return exit_code
     finally:
-        if intern_before is not None:
-            set_interning(intern_before)
-        if memo_before is not None:
-            SHARED_MEMO.set_enabled(memo_before)
-        if automata_before is not None:
-            AUTOMATA.set_enabled(automata_before)
+        METRICS.enabled = was_enabled
 
 
 if __name__ == "__main__":

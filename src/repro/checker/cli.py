@@ -19,7 +19,7 @@ Observability (``repro.obs``):
   per-span-name self/cumulative time table, and with ``FILE`` writes
   collapsed-stack lines for flamegraph tooling.
 - ``--metrics-out FILE`` writes the run's telemetry as Prometheus text
-  exposition (the same document ``tlp-serve``'s ``metrics`` op returns).
+  exposition (the same document ``tlp-aserve``'s ``metrics`` op returns).
 
 Exit status: 0 when every file is well-typed, 1 otherwise, 2 on usage
 errors.
@@ -116,31 +116,6 @@ def _build_argument_parser() -> argparse.ArgumentParser:
         help="collect telemetry and print the metrics table after checking",
     )
     parser.add_argument(
-        "--no-intern",
-        action="store_true",
-        help=(
-            "disable the hash-consing term intern table for this run "
-            "(differential-testing escape hatch; seed representation)"
-        ),
-    )
-    parser.add_argument(
-        "--no-shared-memo",
-        action="store_true",
-        help=(
-            "disable the process-wide shared subtype memo; every engine "
-            "keeps its own cold memo (seed behaviour)"
-        ),
-    )
-    parser.add_argument(
-        "--no-automata",
-        action="store_true",
-        help=(
-            "disable the compiled tree automata for ground subtype/match "
-            "queries; every goal runs the template-expansion path "
-            "(seed behaviour)"
-        ),
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -156,7 +131,7 @@ def _build_argument_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "persist per-file verdicts under DIR and skip re-checking "
-            "unchanged files (shared with tlp-batch/tlp-serve)"
+            "unchanged files (shared with tlp-batch/tlp-aserve)"
         ),
     )
     parser.add_argument(
@@ -516,120 +491,99 @@ def _check_files(arguments) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point (also installed as the ``tlp-check`` console script)."""
-    from ..core.automata import AUTOMATA
-    from ..core.shared_memo import SHARED_MEMO
-    from ..terms.term import set_interning
-
     parser = _build_argument_parser()
     arguments = parser.parse_args(argv)
-    # Escape hatches (restored on exit so library callers of main() keep
-    # their process-wide settings).
-    intern_before = set_interning(False) if arguments.no_intern else None
-    memo_before = (
-        SHARED_MEMO.set_enabled(False) if arguments.no_shared_memo else None
+    observed = (
+        arguments.stats
+        or arguments.trace is not None
+        or arguments.profile is not None
+        or arguments.metrics_out is not None
     )
-    automata_before = (
-        AUTOMATA.set_enabled(False) if arguments.no_automata else None
-    )
-    try:
-        observed = (
-            arguments.stats
-            or arguments.trace is not None
-            or arguments.profile is not None
-            or arguments.metrics_out is not None
-        )
-        if not observed:
-            return _check_files(arguments)
+    if not observed:
+        return _check_files(arguments)
 
-        # Observed run: enable telemetry (and tracing) for the duration,
-        # restoring the process-wide obs state on the way out so library
-        # callers of main() are unaffected.  Sinks detach and close via
-        # ``TRACER.close_sinks()`` in the ``finally`` — a trace file is
-        # flushed and complete on disk even when checking raises.
-        was_enabled = obs.METRICS.enabled
-        obs.reset()
-        obs.METRICS.enabled = True
-        profiler = None
-        root = None
-        try:
-            if arguments.trace is not None:
-                if arguments.trace == "-":
-                    obs.TRACER.add_sink(obs.JsonlSink(sys.stderr))
-                else:
-                    try:
-                        obs.trace_to_path(arguments.trace)
-                    except OSError as error:
-                        print(
-                            f"{arguments.trace}: cannot write trace: {error}",
-                            file=sys.stderr,
-                        )
-                        return 2
-            if arguments.profile is not None:
-                profiler = obs.profile_spans()
-                # One root span around the whole run: per-file spans (and
-                # any gaps between them) partition it, so the profile's
-                # self times always sum to the profiled wall time.
-                root = obs.TRACER.begin()
-            exit_code = _check_files(arguments)
-            if arguments.stats:
-                obs.publish_runtime_gauges()
-                print()
-                print(obs.render_summary())
-                for line in obs.runtime_stats_lines():
-                    print(line)
-            if profiler is not None and root is not None:
-                obs.TRACER.end(root, obs.PhaseEvent, name="tlp_check")
-                root = None
-                report = profiler.report()
-                print()
-                print(report.render_table())
-                print(
-                    f"profile: spans={report.span_count} "
-                    f"wall_s={report.wall_s:.6f} "
-                    f"self_total_s={report.total_self_s:.6f} "
-                    f"coverage={report.coverage:.3f}"
-                )
-                if arguments.profile != "-":
-                    try:
-                        with open(
-                            arguments.profile, "w", encoding="utf-8"
-                        ) as handle:
-                            for line in report.collapsed_lines():
-                                handle.write(line + "\n")
-                    except OSError as error:
-                        print(
-                            f"{arguments.profile}: cannot write profile: "
-                            f"{error}",
-                            file=sys.stderr,
-                        )
-                        return 2
-            if arguments.metrics_out is not None:
-                obs.publish_runtime_gauges()
+    # Observed run: enable telemetry (and tracing) for the duration,
+    # restoring the process-wide obs state on the way out so library
+    # callers of main() are unaffected.  Sinks detach and close via
+    # ``TRACER.close_sinks()`` in the ``finally`` — a trace file is
+    # flushed and complete on disk even when checking raises.
+    was_enabled = obs.METRICS.enabled
+    obs.reset()
+    obs.METRICS.enabled = True
+    profiler = None
+    root = None
+    try:
+        if arguments.trace is not None:
+            if arguments.trace == "-":
+                obs.TRACER.add_sink(obs.JsonlSink(sys.stderr))
+            else:
                 try:
-                    with open(
-                        arguments.metrics_out, "w", encoding="utf-8"
-                    ) as handle:
-                        handle.write(obs.prometheus_text())
+                    obs.trace_to_path(arguments.trace)
                 except OSError as error:
                     print(
-                        f"{arguments.metrics_out}: cannot write metrics: "
+                        f"{arguments.trace}: cannot write trace: {error}",
+                        file=sys.stderr,
+                    )
+                    return 2
+        if arguments.profile is not None:
+            profiler = obs.profile_spans()
+            # One root span around the whole run: per-file spans (and
+            # any gaps between them) partition it, so the profile's
+            # self times always sum to the profiled wall time.
+            root = obs.TRACER.begin()
+        exit_code = _check_files(arguments)
+        if arguments.stats:
+            obs.publish_runtime_gauges()
+            print()
+            print(obs.render_summary())
+            for line in obs.runtime_stats_lines():
+                print(line)
+        if profiler is not None and root is not None:
+            obs.TRACER.end(root, obs.PhaseEvent, name="tlp_check")
+            root = None
+            report = profiler.report()
+            print()
+            print(report.render_table())
+            print(
+                f"profile: spans={report.span_count} "
+                f"wall_s={report.wall_s:.6f} "
+                f"self_total_s={report.total_self_s:.6f} "
+                f"coverage={report.coverage:.3f}"
+            )
+            if arguments.profile != "-":
+                try:
+                    with open(
+                        arguments.profile, "w", encoding="utf-8"
+                    ) as handle:
+                        for line in report.collapsed_lines():
+                            handle.write(line + "\n")
+                except OSError as error:
+                    print(
+                        f"{arguments.profile}: cannot write profile: "
                         f"{error}",
                         file=sys.stderr,
                     )
                     return 2
-            return exit_code
-        finally:
-            if root is not None:  # checking raised mid-profile
-                obs.TRACER.end(root, obs.PhaseEvent, name="tlp_check")
-            obs.TRACER.close_sinks()
-            obs.METRICS.enabled = was_enabled
+        if arguments.metrics_out is not None:
+            obs.publish_runtime_gauges()
+            try:
+                with open(
+                    arguments.metrics_out, "w", encoding="utf-8"
+                ) as handle:
+                    handle.write(obs.prometheus_text())
+            except OSError as error:
+                print(
+                    f"{arguments.metrics_out}: cannot write metrics: "
+                    f"{error}",
+                    file=sys.stderr,
+                )
+                return 2
+        return exit_code
     finally:
-        if intern_before is not None:
-            set_interning(intern_before)
-        if memo_before is not None:
-            SHARED_MEMO.set_enabled(memo_before)
-        if automata_before is not None:
-            AUTOMATA.set_enabled(automata_before)
+        if root is not None:  # checking raised mid-profile
+            obs.TRACER.end(root, obs.PhaseEvent, name="tlp_check")
+        obs.TRACER.close_sinks()
+        obs.METRICS.enabled = was_enabled
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from ..core.builtins import declare_builtins
+from ..core.builtins import declare_builtins, uses_builtin_goals
 from ..core.declarations import ConstraintSet, DeclarationError, SubtypeConstraint, SymbolTable
 from ..obs import METRICS, TRACER
 from ..core.moded_welltyped import ModedWellTypedChecker
@@ -243,18 +243,27 @@ def _check_source(
 
     # Step 2c-bis: built-in constraint predicate signatures (typed-CLP
     # extension).  The lint layer reports a user declaration that
-    # shadows one.
-    declare_builtins(
-        predicate_types,
-        modes,
-        symbols.type_constructors,
+    # shadows one.  A numeric type declared at a non-zero arity cannot
+    # type them: that is reported at the first built-in call.
+    caller = next(
         (
-            goal
+            item
             for item in source.items
             if isinstance(item, (ClauseDecl, QueryDecl))
-            for goal in item.body
+            and uses_builtin_goals(item.body)
         ),
+        None,
     )
+    if caller is not None:
+        try:
+            declare_builtins(
+                predicate_types, modes, symbols.type_constructors, caller.body
+            )
+        except DeclarationError as error:
+            bag.error(
+                f"built-in constraint predicates cannot be typed: {error}",
+                caller.position,
+            )
 
     # Step 2d: clauses and queries (object-level syntax checks).
     for item in source.of_kind(ClauseDecl):

@@ -45,8 +45,8 @@ closure explodes (possible even for guarded sets, e.g.
 ``t(A) >= f(t(g(A)))``) and types mentioning frozen constants (fresh per
 ``freeze``, they would churn the universe) are refused per root — the
 product construction then decides those pairs by the plain AND-OR walk,
-still memoized.  ``TLP_NO_AUTOMATA=1`` (or ``--no-automata`` on the
-CLIs) disables the store entirely, restoring the seed path bit-for-bit.
+still memoized.  ``AUTOMATA.set_enabled(False)`` disables the store
+entirely, restoring the seed path bit-for-bit.
 
 Sharing and persistence
 -----------------------
@@ -636,7 +636,7 @@ class AutomataStore:
 
     Mirrors the :class:`~repro.core.shared_memo.SharedSubtypeMemo`
     discipline: version fencing via :meth:`ensure_version`, an
-    ``enabled`` escape hatch (``TLP_NO_AUTOMATA`` / ``--no-automata``),
+    ``enabled`` escape hatch (:meth:`set_enabled`),
     and rejection caching — a non-uniform or unguarded fingerprint is
     remembered as ``None`` so repeated attachment attempts stay O(1).
     """
@@ -645,7 +645,7 @@ class AutomataStore:
         self._lock = threading.Lock()
         self._automata: Dict[str, Optional[TreeAutomaton]] = {}
         self._version: Optional[str] = None
-        self.enabled = os.environ.get("TLP_NO_AUTOMATA", "") == ""
+        self.enabled = True
         self.compiles = 0
         self.rejections = 0
         self.attachments = 0

@@ -31,15 +31,13 @@ Keying and safety
   table that outgrew the cap is dropped and restarted cold (counted in
   ``evictions``), bounding daemon memory.
 
-Escape hatch: ``TLP_NO_SHARED_MEMO=1`` in the environment (or the
-``--no-shared-memo`` flag on ``tlp-check``/``tlp-batch``) disables
-sharing — ``table_for`` returns ``None`` and every engine keeps its own
-cold memo, which is the seed behaviour.
+Escape hatch: ``SHARED_MEMO.set_enabled(False)`` disables sharing —
+``table_for`` returns ``None`` and every engine keeps its own cold memo,
+which is the seed behaviour.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -64,7 +62,7 @@ class SharedSubtypeMemo:
         self._tables: Dict[str, Dict[Tuple[Term, Term], bool]] = {}
         self._version: Optional[str] = None
         self.max_entries_per_scope = max_entries_per_scope
-        self.enabled = os.environ.get("TLP_NO_SHARED_MEMO", "") == ""
+        self.enabled = True
         self.attachments = 0
         self.evictions = 0
         self.invalidations = 0

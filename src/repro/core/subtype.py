@@ -34,7 +34,7 @@ Ground goals additionally ride the compiled tree automaton of
 and guarded; the process-wide ``AUTOMATA`` store compiles once per
 fingerprint): membership and ground-subtype queries become table walks
 over interned node ids, with this module's AND-OR evaluation as the
-automatic fallback (``--no-automata`` / non-uniform sets / refused
+automatic fallback (store disabled / non-uniform sets / refused
 roots).  Verdicts are identical by construction and pinned by the
 differential suite.
 

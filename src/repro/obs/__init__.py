@@ -203,7 +203,7 @@ def runtime_stats_lines() -> "list[str]":
             f"hit rate {interned.hit_rate:.1%}"
         )
     else:
-        intern_line = "intern table: disabled (--no-intern)"
+        intern_line = "intern table: disabled"
     memo = SHARED_MEMO.stats()
     if memo["enabled"]:
         hits = METRICS.counter("subtype.shared_memo.hits")
@@ -216,7 +216,7 @@ def runtime_stats_lines() -> "list[str]":
             f"attachment(s){rate}"
         )
     else:
-        memo_line = "shared subtype memo: disabled (--no-shared-memo)"
+        memo_line = "shared subtype memo: disabled"
     from ..core.automata import AUTOMATA
 
     automata = AUTOMATA.stats()
@@ -231,7 +231,7 @@ def runtime_stats_lines() -> "list[str]":
             f"transition(s), {automata['attachments']} attachment(s){rate}"
         )
     else:
-        automata_line = "tree automata: disabled (--no-automata)"
+        automata_line = "tree automata: disabled"
     return [intern_line, memo_line, automata_line]
 
 

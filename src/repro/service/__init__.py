@@ -19,13 +19,15 @@ grows it from a one-shot CLI into a service that checks *corpora* of
   ``concurrent.futures`` worker pool checking independent files in
   parallel, with per-worker telemetry shipped back to the coordinator
   and merged losslessly into the process-wide registry.
-* :mod:`repro.service.daemon` — ``tlp-serve``: a long-lived check
-  daemon speaking line-delimited JSON (``check`` / ``stats`` /
-  ``invalidate`` / ``shutdown``) that keeps parsed modules — including
-  their shared subtype-engine memo tables — hot across requests.
+* :mod:`repro.service.daemon` — :class:`~repro.service.daemon.CheckService`,
+  the transport-independent check service that keeps parsed modules —
+  including their shared subtype-engine memo tables — hot across
+  requests.
+* :mod:`repro.service.aserver` — ``tlp-aserve``, the server that puts
+  that service on stdio, TCP and unix sockets, and ``tlp-lsp``.
 
 Console entry points: ``tlp-batch`` (one batch run over a corpus) and
-``tlp-serve`` (the daemon).  ``tlp-check`` gains ``--jobs``/
+``tlp-aserve`` (the server).  ``tlp-check`` gains ``--jobs``/
 ``--cache-dir`` flags that route through the same runner.
 """
 

@@ -3,12 +3,12 @@
 Three layers over one :class:`~repro.service.daemon.CheckService` brain:
 
 * :mod:`~repro.service.aserver.protocol` — wire framing: line-JSON with
-  request ids (the legacy daemon protocol, made concurrent) and LSP
-  ``Content-Length`` JSON-RPC, as pure helpers plus asyncio wrappers;
-* :mod:`~repro.service.aserver.server` — ``tlp-aserve``: TCP/unix-socket
-  listeners, per-client bounded queues (backpressure), thread-pool
-  check execution, out-of-band ``cancel`` reaching clause-boundary
-  checkpoints, workspace ops, graceful drain;
+  request ids and LSP ``Content-Length`` JSON-RPC, as pure helpers plus
+  asyncio wrappers;
+* :mod:`~repro.service.aserver.server` — ``tlp-aserve``: stdio and
+  TCP/unix-socket listeners, per-client bounded queues (backpressure),
+  thread-pool check execution, out-of-band ``cancel`` reaching
+  clause-boundary checkpoints, workspace ops, graceful drain;
 * :mod:`~repro.service.aserver.workspace` — the dependency-closure
   invalidation layer: declaration-dependency graph from corpus digests,
   stat-polling watcher, re-check exactly the closure of a change while

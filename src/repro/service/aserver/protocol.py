@@ -2,9 +2,8 @@
 
 Two framings, one async core:
 
-* **line-JSON** — one JSON object per ``\\n``-terminated line, the same
-  protocol the legacy ``tlp-serve`` daemon speaks on stdin/stdout, here
-  carried over TCP/unix-socket streams.  Requests may carry an ``"id"``
+* **line-JSON** — one JSON object per ``\\n``-terminated line, carried
+  over stdio and TCP/unix-socket streams.  Requests may carry an ``"id"``
   (any JSON value); responses echo it, which is what makes concurrent
   in-flight requests and the ``cancel`` op addressable.
 * **LSP JSON-RPC** — ``Content-Length``-headed frames as specified by

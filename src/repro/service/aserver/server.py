@@ -1,31 +1,47 @@
-"""``tlp-aserve`` — the asyncio multi-client check server.
+"""``tlp-aserve`` — the check server.
 
-The legacy ``tlp-serve`` daemon is one blocking request loop on stdin;
-this server puts the same :class:`~repro.service.daemon.CheckService`
-brain behind concurrent transports:
+One :class:`~repro.service.daemon.CheckService` brain behind every
+transport: TCP and unix sockets (many clients) and ``--stdio`` (one
+client on stdin/stdout, the zero-setup pipe).  Each connection — the
+stdio one included — is served by the same reader, bounded queue,
+worker, cancel and drain code:
 
-* **many clients** over TCP and unix sockets, each speaking the familiar
-  line-JSON protocol, with per-request ``"id"`` echo so responses are
-  addressable;
-* **true request-level concurrency** — every client gets a bounded
-  queue (backpressure: a flooding client suspends its own socket reads,
-  never other clients) and a worker coroutine; the CPU-bound checks run
-  on a shared thread-pool executor while the event loop keeps serving
-  everyone else;
+* **request-level concurrency** — every client gets a bounded queue
+  (backpressure: a flooding client suspends its own reads, never other
+  clients) and a worker coroutine; the CPU-bound checks run on a shared
+  thread-pool executor while the event loop keeps serving everyone else;
+* **in-order replies** — a client's responses come back in the order of
+  its requests (malformed lines included); only ``cancel`` acks are
+  answered out of band;
 * **cancellation** — a ``{"op": "cancel", "target": <id>}`` is handled
-  *out of band* by the reader (it never queues behind the work it is
-  cancelling) and flips the target request's
-  :class:`~repro.checker.cancel.CancelToken`; an in-flight check stops
-  at its next clause-boundary checkpoint and the worker is freed;
+  by the reader (it never queues behind the work it is cancelling) and
+  flips the target request's :class:`~repro.checker.cancel.CancelToken`;
+  an in-flight check stops at its next clause-boundary checkpoint and
+  the worker is freed;
 * **workspace ops** — ``workspace`` opens a corpus, ``didChange``
   re-checks exactly the dependency closure of what changed (see
   :mod:`repro.service.aserver.workspace`), ``closure`` predicts it;
-* **graceful drain** — ``{"op": "shutdown"}`` (or SIGTERM/SIGINT) stops
-  accepting, finishes every queued and in-flight request, writes the
-  responses, persists the cache, and closes trace sinks.
+* **graceful drain** — ``{"op": "shutdown"}`` (the client's reader stops
+  at that line; later lines are not answered), SIGTERM/SIGINT, or the
+  end of stdin under ``--stdio`` stops accepting, finishes every queued
+  and in-flight request, writes the responses, persists the cache, and
+  closes trace sinks.  A socket client that hangs up instead has its
+  queued work cancelled.
 
-Protocol additions over the legacy daemon::
+Protocol: line-delimited JSON.  One request object per line, one
+response object per line; blank lines are skipped.  Requests::
 
+    {"op": "check", "path": "examples/programs/append.tlp"}
+    {"op": "check", "text": "FUNC nil. ..."}
+    {"op": "lint", "path": "examples/programs/append.tlp"}
+    {"op": "lint", "text": "FUNC nil. ...", "disable": "TLP203"}
+    {"op": "infer", "path": "examples/programs/append.tlp"}
+    {"op": "solve", "path": "examples/corpus/lint/polytypes.tlp"}
+    {"op": "stats"}
+    {"op": "metrics"}                     # Prometheus text exposition
+    {"op": "health"}                      # uptime, LRU occupancy, caches
+    {"op": "invalidate"}                  # drop all hot/cached state
+    {"op": "invalidate", "path": "..."}   # drop one file's state
     {"id": 1, "op": "check", "path": "m.tlp"}     → response echoes "id": 1
     {"id": 2, "op": "cancel", "target": 1}        → cancels request 1
     {"id": 3, "op": "workspace", "root": "corpus"}
@@ -33,16 +49,35 @@ Protocol additions over the legacy daemon::
     {"id": 5, "op": "closure", "path": "corpus/decls.tlp"}
     {"op": "shutdown"}                            → drain + exit
 
-Everything else (``check``/``lint``/``infer``/``stats``/``metrics``/
-``health``/``invalidate``) behaves exactly as documented in
-:mod:`repro.service.daemon` — same brain, same verdicts, same caches.
+Responses always carry ``"ok"`` (protocol-level success — an ill-typed
+file is still ``"ok": true``), echo ``"op"``, and echo ``"id"`` when the
+request had one.  A ``check`` response reports ``"well_typed"``,
+``"diagnostics"``, clause/query counts, and ``"source"``: ``"hot"``
+(module LRU), ``"cache"`` (persistent store), or ``"checked"`` (full
+Definition 16 run).  A ``lint`` response carries the static analyzer's
+findings as structured objects (``code``, ``severity``, ``message``,
+position fields, fix-it descriptions) plus error/warning counts and the
+rule-set ``fingerprint``.  An ``infer`` response carries the success-set
+analysis: ``"declarations"`` (reconstructed ``PRED`` lines for
+undeclared predicates, checker-validated where possible) and
+``"success_sets"`` (the rendered per-predicate inferred types).  A
+``solve`` response carries the polymorphic subtype-constraint solver's
+view of the file: the candidate ground-type lattice and, per clause or
+query that involves a polymorphic declaration or a built-in constraint
+predicate, the solved type-variable domains, forced equalities, and
+unsatisfiability witnesses.  ``stats`` and ``health`` responses also
+carry an ``"aserver"`` block (clients, queue depth, in-flight
+requests).  Malformed lines get an ``{"ok": false, "error": ...}``
+response rather than ending the session.
 
 Telemetry: with ``--stats`` every request lands in the
 ``service.aserver.request`` latency histogram and a per-client
 ``service.aserver.client.c<N>.request`` histogram, with
 ``service.aserver.requests`` / ``.op.<op>`` / ``.cancelled`` counters
 and ``aserver.clients`` / ``aserver.inflight`` gauges on the Prometheus
-exposition.
+exposition.  ``--metrics-port`` serves the same exposition over HTTP.
+
+A worked session lives in ``docs/service.md``.
 """
 
 from __future__ import annotations
@@ -50,23 +85,26 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import io
+import itertools
 import json
 import os
 import signal
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, BinaryIO, Dict, List, Optional, Sequence, Set, Tuple
 
 from ... import obs
 from ...checker.cancel import CancelToken
 from ...obs import METRICS
-from ..daemon import CheckService, start_metrics_server
+from ..daemon import CheckService
 from .protocol import decode_line, encode_line
 from .workspace import StatWatcher, Workspace
 
-__all__ = ["AsyncCheckServer", "DEFAULT_MAX_QUEUE", "main"]
+__all__ = ["AsyncCheckServer", "DEFAULT_MAX_QUEUE", "start_metrics_server", "main"]
 
 #: Requests a single client may have queued before its socket reads are
 #: suspended (the backpressure bound).
@@ -82,23 +120,93 @@ STREAM_LIMIT = 16 * 1024 * 1024
 _LOCAL_OPS = {"workspace", "didChange", "closure", "metrics", "stats", "health"}
 
 
+class _StdinReader:
+    """``readline()`` over a blocking file descriptor.
+
+    asyncio's pipe transports refuse a regular file or ``/dev/null`` on
+    stdin, so a daemon thread does plain blocking reads — the same code
+    for a pipe, a file and ``/dev/null`` — and hands the loop one line
+    at a time (it waits until the line is taken: backpressure).  The
+    thread reads through its own buffer, never ``sys.stdin``, so the
+    interpreter can close ``sys.stdin`` at exit while the thread is
+    blocked.  End of input reads as ``b""``, like a stream reader at EOF.
+    """
+
+    def __init__(self, fd: int) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._lines: "asyncio.Queue[bytes]" = asyncio.Queue()
+        self._taken = threading.Semaphore(1)
+        threading.Thread(
+            target=self._pump, args=(fd,), name="tlp-aserve-stdin", daemon=True
+        ).start()
+
+    def _pump(self, fd: int) -> None:
+        stream = io.BufferedReader(io.FileIO(fd, "rb", closefd=False))
+        for line in itertools.chain(stream, [b""]):
+            # Wait until the previous line is taken; stop once the loop
+            # is gone (nobody will take it).
+            while not self._taken.acquire(timeout=0.5):
+                if self._loop.is_closed():
+                    return
+            try:
+                self._loop.call_soon_threadsafe(self._lines.put_nowait, line)
+            except RuntimeError:
+                return  # the loop has shut down: nobody is reading any more
+
+    async def readline(self) -> bytes:
+        line = await self._lines.get()
+        self._taken.release()
+        return line
+
+
+class _StdoutWriter:
+    """The part of ``asyncio.StreamWriter`` a client uses, over a
+    blocking binary stream (a pipe, a regular file or ``/dev/null``).
+
+    Writes block the loop only while the reader of a pipe stops reading;
+    that reader is the stdio client itself, whose replies are all that
+    would be waiting."""
+
+    def __init__(self, stream: BinaryIO) -> None:
+        self._stream = stream
+
+    def write(self, data: bytes) -> None:
+        self._stream.write(data)
+
+    async def drain(self) -> None:
+        self._stream.flush()
+
+    def close(self) -> None:
+        self._stream.flush()  # stdout stays open for the process
+
+    async def wait_closed(self) -> None:
+        pass
+
+
 class _Client:
     """One connection: reader task, bounded queue, worker task."""
 
     def __init__(
         self,
         server: "AsyncCheckServer",
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        reader: Any,
+        writer: Any,
         index: int,
+        drain_at_eof: bool = False,
     ) -> None:
         self.server = server
         self.reader = reader
         self.writer = writer
         self.index = index
-        self.queue: "asyncio.Queue[Tuple[Dict[str, Any], CancelToken]]" = (
+        #: Queued (request, token) pairs; a ``None`` token marks a ready
+        #: error reply, queued so it keeps its place in the reply order.
+        self.queue: "asyncio.Queue[Tuple[Any, Optional[CancelToken]]]" = (
             asyncio.Queue(maxsize=server.max_queue)
         )
+        #: Whether queued work completes when the reader stops: after a
+        #: ``shutdown`` line always, at end of input only for stdio (a
+        #: socket client that hangs up has its work cancelled).
+        self.drain_when_done = drain_at_eof
         #: request id → token, registered at *enqueue* time so a cancel
         #: can hit a request that has not started yet.
         self.inflight: Dict[Any, CancelToken] = {}
@@ -135,14 +243,10 @@ class _Client:
             try:
                 request = decode_line(line)
             except json.JSONDecodeError as error:
-                await self.send(
-                    {"ok": False, "op": None, "error": f"malformed JSON: {error}"}
-                )
+                await self._queue_error(f"malformed JSON: {error}")
                 continue
             if not isinstance(request, dict):
-                await self.send(
-                    {"ok": False, "op": None, "error": "request must be a JSON object"}
-                )
+                await self._queue_error("request must be a JSON object")
                 continue
             if request.get("op") == "cancel":
                 # Out of band: must never queue behind the request it
@@ -156,6 +260,13 @@ class _Client:
             # Bounded: a client flooding its queue suspends ITS reads
             # here (TCP backpressure) without touching other clients.
             await self.queue.put((request, token))
+            if request.get("op") == "shutdown":
+                self.drain_when_done = True
+                return  # lines after a shutdown are not answered
+
+    async def _queue_error(self, message: str) -> None:
+        """Queue an error reply, so it keeps its place in the reply order."""
+        await self.queue.put(({"ok": False, "op": None, "error": message}, None))
 
     async def _op_cancel(self, request: Dict[str, Any]) -> None:
         target = request.get("target")
@@ -180,7 +291,11 @@ class _Client:
         while True:
             request, token = await self.queue.get()
             try:
-                await self._process(request, token)
+                if token is None:
+                    with contextlib.suppress(ConnectionError, OSError):
+                        await self.send(request)
+                else:
+                    await self._process(request, token)
             except asyncio.CancelledError:
                 raise
             except Exception as error:  # a bug must not kill the worker
@@ -282,6 +397,7 @@ class AsyncCheckServer:
         self.workspace: Optional[Workspace] = None
         self.watcher: Optional[StatWatcher] = None
         self._watcher_task: Optional["asyncio.Task[None]"] = None
+        self._stdio_task: Optional["asyncio.Task[None]"] = None
         self._servers: List[asyncio.AbstractServer] = []
         self._clients: Set[_Client] = set()
         self._client_counter = 0
@@ -318,14 +434,35 @@ class AsyncCheckServer:
         self._servers.append(server)
         return path
 
+    def start_stdio(
+        self, stdin_fd: int = 0, stdout: Optional[BinaryIO] = None
+    ) -> None:
+        """Serve one client on stdin/stdout (a pipe, a regular file or
+        ``/dev/null`` each).  The end of stdin drains that client's
+        queued requests and then shuts the whole server down."""
+        self._ensure_event()
+        reader = _StdinReader(stdin_fd)
+        writer = _StdoutWriter(stdout or sys.stdout.buffer)
+
+        async def session() -> None:
+            await self._serve_client(reader, writer, drain_at_eof=True)
+            self.request_shutdown()
+
+        self._stdio_task = asyncio.get_running_loop().create_task(session())
+
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         if self._draining:
             writer.close()
             return
+        await self._serve_client(reader, writer)
+
+    async def _serve_client(
+        self, reader: Any, writer: Any, drain_at_eof: bool = False
+    ) -> None:
         self._client_counter += 1
-        client = _Client(self, reader, writer, self._client_counter)
+        client = _Client(self, reader, writer, self._client_counter, drain_at_eof)
         self._clients.add(client)
         if METRICS.enabled:
             METRICS.gauge("aserver.clients", len(self._clients))
@@ -341,7 +478,7 @@ class AsyncCheckServer:
                 return_when=asyncio.FIRST_COMPLETED,
             )
         finally:
-            await client.finish(draining=self._draining)
+            await client.finish(draining=self._draining or client.drain_when_done)
             if METRICS.enabled:
                 METRICS.gauge("aserver.clients", len(self._clients))
 
@@ -559,6 +696,52 @@ class AsyncCheckServer:
         await self._ensure_event().wait()
 
 
+def start_metrics_server(service: CheckService, port: int):
+    """Serve ``GET /metrics`` (Prometheus) and ``GET /health`` (JSON).
+
+    A stdlib ``ThreadingHTTPServer`` on ``127.0.0.1`` running in a
+    daemon thread, beside the event loop.  Handlers only *read* service
+    state (the registry locks internally; the LRU/caches are scanned
+    without mutation), so no coordination with the request workers is
+    needed.  ``port=0`` binds an ephemeral port (tests); the bound port
+    is on ``server_address``.  Returns the server — call ``shutdown()``
+    then ``server_close()``.
+    """
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    class _MetricsHandler(BaseHTTPRequestHandler):
+        def do_GET(self) -> None:  # noqa: N802 (http.server API)
+            route = self.path.split("?", 1)[0].rstrip("/") or "/"
+            if route == "/metrics":
+                body = obs.prometheus_text(
+                    extra_gauges=service._runtime_gauges()
+                ).encode("utf-8")
+                content_type = obs.PROMETHEUS_CONTENT_TYPE
+            elif route == "/health":
+                body = (
+                    json.dumps(service._op_health()["health"]) + "\n"
+                ).encode("utf-8")
+                content_type = "application/json; charset=utf-8"
+            else:
+                self.send_error(404, "try /metrics or /health")
+                return
+            self.send_response(200)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args: Any) -> None:
+            pass  # scrape chatter must not pollute the protocol streams
+
+    server = ThreadingHTTPServer(("127.0.0.1", port), _MetricsHandler)
+    thread = threading.Thread(
+        target=server.serve_forever, name="tlp-metrics", daemon=True
+    )
+    thread.start()
+    return server
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -572,7 +755,7 @@ async def _amain(arguments: argparse.Namespace) -> int:
     if arguments.unix:
         await server.start_unix(arguments.unix)
         endpoints.append(f"unix={arguments.unix}")
-    if arguments.port is not None or not arguments.unix:
+    if arguments.port is not None or not (arguments.unix or arguments.stdio):
         host, port = await server.start_tcp(
             arguments.host, arguments.port if arguments.port is not None else 0
         )
@@ -592,18 +775,24 @@ async def _amain(arguments: argparse.Namespace) -> int:
         endpoints.append(
             f"metrics=http://127.0.0.1:{metrics_server.server_address[1]}"
         )
+    if arguments.stdio:
+        server.start_stdio()
+        endpoints.append("stdio")
     print(
-        f"tlp-aserve: listening {' '.join(endpoints)} "
+        f"tlp-aserve: ready, listening {' '.join(endpoints)} "
         f"(cache: {arguments.cache_dir or 'off'}, pid {os.getpid()})",
         file=sys.stderr,
         flush=True,
     )
+
+    def on_signal(name: str) -> None:
+        print(f"tlp-aserve: {name} — draining", file=sys.stderr, flush=True)
+        asyncio.ensure_future(server.shutdown())
+
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
         with contextlib.suppress(NotImplementedError):
-            loop.add_signal_handler(
-                signum, lambda: asyncio.ensure_future(server.shutdown())
-            )
+            loop.add_signal_handler(signum, on_signal, signum.name)
     try:
         await server.wait_closed()
     finally:
@@ -618,9 +807,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tlp-aserve",
         description=(
-            "Asyncio multi-client type-checking server: line-JSON over "
-            "TCP/unix sockets with request ids, cancellation, workspace "
-            "closure re-checking, and graceful drain."
+            "Type-checking server: line-JSON over stdio or TCP/unix "
+            "sockets with request ids, cancellation, workspace closure "
+            "re-checking, and graceful drain."
         ),
     )
     parser.add_argument("--host", default="127.0.0.1", help="TCP bind host")
@@ -629,16 +818,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=None,
         metavar="PORT",
-        help="TCP port (0 = ephemeral; default: ephemeral unless --unix only)",
+        help=(
+            "TCP port (0 = ephemeral; default: ephemeral unless --unix "
+            "or --stdio is given)"
+        ),
     )
     parser.add_argument(
         "--unix", default=None, metavar="PATH", help="also listen on a unix socket"
     )
     parser.add_argument(
+        "--stdio",
+        action="store_true",
+        help=(
+            "serve one client on stdin/stdout (replies only on stdout); "
+            "the end of stdin drains and exits"
+        ),
+    )
+    parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="share a persistent result cache with tlp-batch/tlp-serve",
+        help="share a persistent result cache with tlp-batch",
     )
     parser.add_argument(
         "--stats", action="store_true", help="collect telemetry for stats/metrics ops"
@@ -677,32 +877,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="PORT",
         help="serve GET /metrics and /health on 127.0.0.1:PORT (0 = ephemeral)",
     )
-    parser.add_argument(
-        "--no-automata",
-        action="store_true",
-        help=(
-            "disable the compiled tree automata for ground subtype/match "
-            "queries (seed behaviour)"
-        ),
-    )
     arguments = parser.parse_args(argv)
-
-    from ...core.automata import AUTOMATA
 
     was_enabled = METRICS.enabled
     if arguments.stats:
         obs.reset()
         METRICS.enabled = True
-    automata_before = (
-        AUTOMATA.set_enabled(False) if arguments.no_automata else None
-    )
     try:
         return asyncio.run(_amain(arguments))
     except KeyboardInterrupt:
         return 0
     finally:
-        if automata_before is not None:
-            AUTOMATA.set_enabled(automata_before)
         METRICS.enabled = was_enabled
 
 

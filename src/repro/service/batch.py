@@ -120,31 +120,6 @@ def _build_argument_parser() -> argparse.ArgumentParser:
         help="collect telemetry and print the metrics table",
     )
     parser.add_argument(
-        "--no-intern",
-        action="store_true",
-        help=(
-            "disable the hash-consing term intern table for this run "
-            "(differential-testing escape hatch; seed representation)"
-        ),
-    )
-    parser.add_argument(
-        "--no-shared-memo",
-        action="store_true",
-        help=(
-            "disable the process-wide shared subtype memo; every engine "
-            "keeps its own cold memo (seed behaviour)"
-        ),
-    )
-    parser.add_argument(
-        "--no-automata",
-        action="store_true",
-        help=(
-            "disable the compiled tree automata for ground subtype/match "
-            "queries; every goal runs the template-expansion path "
-            "(seed behaviour)"
-        ),
-    )
-    parser.add_argument(
         "--json",
         default=None,
         metavar="OUT",
@@ -309,45 +284,24 @@ def _run(arguments) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point (installed as the ``tlp-batch`` console script)."""
-    from ..core.automata import AUTOMATA
-    from ..core.shared_memo import SHARED_MEMO
-    from ..terms.term import set_interning
-
     parser = _build_argument_parser()
     arguments = parser.parse_args(argv)
     if arguments.jobs < 1:
         parser.error("--jobs must be >= 1")
-    # Escape hatches, restored on exit so library callers of main() keep
-    # their process-wide settings.
-    intern_before = set_interning(False) if arguments.no_intern else None
-    memo_before = (
-        SHARED_MEMO.set_enabled(False) if arguments.no_shared_memo else None
-    )
-    automata_before = (
-        AUTOMATA.set_enabled(False) if arguments.no_automata else None
-    )
+    if not arguments.stats:
+        return _run(arguments)
+    was_enabled = METRICS.enabled
+    obs.reset()
+    METRICS.enabled = True
     try:
-        if not arguments.stats:
-            return _run(arguments)
-        was_enabled = METRICS.enabled
-        obs.reset()
-        METRICS.enabled = True
-        try:
-            exit_code = _run(arguments)
-            print()
-            print(obs.render_summary())
-            for line in obs.runtime_stats_lines():
-                print(line)
-            return exit_code
-        finally:
-            METRICS.enabled = was_enabled
+        exit_code = _run(arguments)
+        print()
+        print(obs.render_summary())
+        for line in obs.runtime_stats_lines():
+            print(line)
+        return exit_code
     finally:
-        if intern_before is not None:
-            set_interning(intern_before)
-        if memo_before is not None:
-            SHARED_MEMO.set_enabled(memo_before)
-        if automata_before is not None:
-            AUTOMATA.set_enabled(automata_before)
+        METRICS.enabled = was_enabled
 
 
 if __name__ == "__main__":

@@ -1,46 +1,19 @@
-"""``tlp-serve`` — the long-lived check daemon.
+"""The check service: the transport-independent core of ``tlp-aserve``.
 
-The daemon keeps checker state *hot* across requests: checked modules —
-with their parsed declarations, their per-file ``WellTypedChecker``
-matcher memos, and the module-wide shared ``SubtypeEngine`` memo table —
-stay resident in an LRU keyed by content digest, so re-checking an
-unchanged file is a dictionary lookup, and the optional persistent
-result cache (``--cache-dir``) is shared with ``tlp-batch``: entries
-written by either surface are served by both.
+:class:`CheckService` keeps checker state *hot* across requests: checked
+modules — with their parsed declarations, their per-file
+``WellTypedChecker`` matcher memos, and the module-wide shared
+``SubtypeEngine`` memo table — stay resident in an LRU keyed by content
+digest, so re-checking an unchanged file is a dictionary lookup, and the
+optional persistent result cache (``cache_dir``) is shared with
+``tlp-batch``: entries written by either surface are served by both.
 
-Protocol: line-delimited JSON over stdin/stdout.  One request object per
-line, one response object per line, in order.  Requests::
-
-    {"op": "check", "path": "examples/programs/append.tlp"}
-    {"op": "check", "text": "FUNC nil. ..."}
-    {"op": "lint", "path": "examples/programs/append.tlp"}
-    {"op": "lint", "text": "FUNC nil. ...", "disable": "TLP203"}
-    {"op": "infer", "path": "examples/programs/append.tlp"}
-    {"op": "solve", "path": "examples/corpus/lint/polytypes.tlp"}
-    {"op": "stats"}
-    {"op": "metrics"}                     # Prometheus text exposition
-    {"op": "health"}                      # uptime, LRU occupancy, caches
-    {"op": "invalidate"}                  # drop all hot/cached state
-    {"op": "invalidate", "path": "..."}   # drop one file's state
-    {"op": "shutdown"}
-
-Responses always carry ``"ok"`` (protocol-level success — an ill-typed
-file is still ``"ok": true``) and echo ``"op"``.  A ``check`` response
-reports ``"well_typed"``, ``"diagnostics"``, clause/query counts, and
-``"source"``: ``"hot"`` (module LRU), ``"cache"`` (persistent store), or
-``"checked"`` (full Definition 16 run).  A ``lint`` response carries the
-static analyzer's findings as structured objects (``code``, ``severity``,
-``message``, position fields, fix-it descriptions) plus error/warning
-counts and the rule-set ``fingerprint``.  An ``infer`` response carries
-the success-set analysis: ``"declarations"`` (reconstructed ``PRED``
-lines for undeclared predicates, checker-validated where possible) and
-``"success_sets"`` (the rendered per-predicate inferred types).  A
-``solve`` response carries the polymorphic subtype-constraint solver's
-view of the file: the candidate ground-type lattice and, per clause or
-query that involves a polymorphic declaration or a built-in constraint
-predicate, the solved type-variable domains, forced equalities, and
-unsatisfiability witnesses.  Malformed lines get an
-``{"ok": false, "error": ...}`` response rather than killing the daemon.
+:meth:`CheckService.handle` takes one request object and returns one
+response object (``check``, ``lint``, ``infer``, ``solve``, ``stats``,
+``metrics``, ``health``, ``invalidate``).  The line-JSON wire protocol
+that carries them — over stdio, TCP or a unix socket — and the meaning
+of each response field are documented in
+:mod:`repro.service.aserver.server`.
 
 Verdict state is *content-addressed*: the hot LRU and the persistent
 cache are keyed by the SHA-256 of the checked text (never by path), and
@@ -49,28 +22,17 @@ unchanged file is invalidated by any change to the file's
 ``(mtime_ns, size)`` signature — a file edited on disk can never be
 served a stale verdict.
 
-On SIGTERM the daemon *drains*: the in-flight request's response is
-written, then the loop stops and ``CheckService.close()`` persists the
-result cache and flushes/closes every trace sink, so traces and metrics
-survive orderly restarts.  (``tlp-aserve`` — the asyncio multi-client
-server in :mod:`repro.service.aserver` — wraps this same service with
-concurrent transports, request cancellation, and an LSP adapter.)
-
 A worked session lives in ``docs/service.md``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import signal
-import sys
 import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, IO, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..analysis import LintConfig, lint_text
@@ -81,7 +43,7 @@ from ..obs import METRICS, TRACER, CacheProbeEvent
 from .cache import CHECKER_VERSION, CachedResult, ResultCache
 from .project import EMPTY_DECLS_DIGEST, fingerprint
 
-__all__ = ["CheckService", "serve", "start_metrics_server", "main"]
+__all__ = ["CheckService"]
 
 #: Checked modules kept resident (each holds parsed declarations plus
 #: the matcher/subtype memo tables grown while checking it).
@@ -93,7 +55,7 @@ STAT_CACHE_LIMIT = 4096
 
 
 class CheckService:
-    """The daemon's brain, independent of any transport."""
+    """The server's brain, independent of any transport."""
 
     def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache = ResultCache(cache_dir) if cache_dir else None
@@ -126,11 +88,6 @@ class CheckService:
         self.cancellations = 0
         self.errors = 0
         self.started_at = time.time()
-        #: Set by the SIGTERM handler (or a transport): finish the
-        #: request in flight, then stop accepting new ones.
-        self.draining = False
-        #: True while ``handle`` is running a request (drain coordination).
-        self.busy = False
 
     # -- request dispatch ----------------------------------------------------
 
@@ -166,8 +123,6 @@ class CheckService:
                 return self._op_health()
             if op == "invalidate":
                 return self._op_invalidate(request)
-            if op == "shutdown":
-                return {"ok": True, "op": "shutdown", "bye": True}
             return self._error(op, f"unknown op {op!r}")
         except CheckCancelled as cancelled:
             self.cancellations += 1
@@ -639,9 +594,9 @@ class CheckService:
     def close(self) -> None:
         """Orderly teardown: persist the cache, flush/close trace sinks.
 
-        Called on every daemon exit path — the ``shutdown`` op, SIGTERM
-        drain, EOF on stdin, and the async server's graceful drain — so
-        traces and the persistent cache survive restarts.
+        Called by the server's graceful drain — the ``shutdown`` op,
+        SIGTERM, or the end of stdin — so traces and the persistent
+        cache survive restarts.
         """
         with self._lock:
             if self.cache is not None:
@@ -650,180 +605,3 @@ class CheckService:
 
                 AUTOMATA.save_spill(self.cache.cache_dir)
         obs.TRACER.close_sinks()
-
-
-def start_metrics_server(service: CheckService, port: int):
-    """Serve ``GET /metrics`` (Prometheus) and ``GET /health`` (JSON).
-
-    A stdlib ``ThreadingHTTPServer`` on ``127.0.0.1`` running in a
-    daemon thread — scrapers poll it while the main thread sits in the
-    stdin request loop.  Handlers only *read* daemon state (the registry
-    locks internally; the LRU/caches are scanned without mutation), so
-    no coordination with the request loop is needed.  ``port=0`` binds
-    an ephemeral port (tests); the bound port is on ``server_address``.
-    Returns the server — call ``shutdown()`` then ``server_close()``.
-    """
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    class _MetricsHandler(BaseHTTPRequestHandler):
-        def do_GET(self) -> None:  # noqa: N802 (http.server API)
-            route = self.path.split("?", 1)[0].rstrip("/") or "/"
-            if route == "/metrics":
-                body = obs.prometheus_text(
-                    extra_gauges=service._runtime_gauges()
-                ).encode("utf-8")
-                content_type = obs.PROMETHEUS_CONTENT_TYPE
-            elif route == "/health":
-                body = (
-                    json.dumps(service._op_health()["health"]) + "\n"
-                ).encode("utf-8")
-                content_type = "application/json; charset=utf-8"
-            else:
-                self.send_error(404, "try /metrics or /health")
-                return
-            self.send_response(200)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args: Any) -> None:
-            pass  # scrape chatter must not pollute the protocol streams
-
-    server = ThreadingHTTPServer(("127.0.0.1", port), _MetricsHandler)
-    import threading
-
-    thread = threading.Thread(
-        target=server.serve_forever, name="tlp-metrics", daemon=True
-    )
-    thread.start()
-    return server
-
-
-def serve(service: CheckService, in_stream: IO[str], out_stream: IO[str]) -> int:
-    """The request loop: one JSON object per line, until shutdown/EOF.
-
-    ``service.draining`` (set by the SIGTERM handler, or an operator
-    embedding the service) stops the loop *after* the in-flight request's
-    response is written — orderly drain, never a half-written line.
-    """
-    for line in in_stream:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            request: Any = json.loads(line)
-        except json.JSONDecodeError as error:
-            response = service._error(None, f"malformed JSON: {error}")
-        else:
-            service.busy = True
-            try:
-                response = service.handle(request)
-            finally:
-                service.busy = False
-        out_stream.write(json.dumps(response) + "\n")
-        out_stream.flush()
-        if response.get("op") == "shutdown" and response.get("ok"):
-            break
-        if service.draining:
-            break
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point (installed as the ``tlp-serve`` console script)."""
-    parser = argparse.ArgumentParser(
-        prog="tlp-serve",
-        description=(
-            "Long-lived type-checking daemon: line-delimited JSON requests "
-            "on stdin, one JSON response per line on stdout."
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="share a persistent result cache with tlp-batch",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="collect telemetry; 'stats' responses then embed a snapshot",
-    )
-    parser.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help=(
-            "serve GET /metrics (Prometheus text) and GET /health on "
-            "127.0.0.1:PORT alongside the stdin protocol (0 = ephemeral)"
-        ),
-    )
-    parser.add_argument(
-        "--no-automata",
-        action="store_true",
-        help=(
-            "disable the compiled tree automata for ground subtype/match "
-            "queries (seed behaviour)"
-        ),
-    )
-    arguments = parser.parse_args(argv)
-
-    from ..core.automata import AUTOMATA
-
-    was_enabled = METRICS.enabled
-    if arguments.stats:
-        obs.reset()
-        METRICS.enabled = True
-    automata_before = (
-        AUTOMATA.set_enabled(False) if arguments.no_automata else None
-    )
-    service = CheckService(cache_dir=arguments.cache_dir)
-
-    def _on_sigterm(signum: int, frame: Any) -> None:
-        # Orderly restart contract: finish the request in flight (the
-        # serve loop breaks after its response is written), and if the
-        # loop is idle — blocked reading stdin — unwind immediately so
-        # the finally block persists the cache and closes trace sinks.
-        service.draining = True
-        print("tlp-serve: SIGTERM — draining", file=sys.stderr, flush=True)
-        if not service.busy:
-            raise SystemExit(0)
-
-    try:
-        signal.signal(signal.SIGTERM, _on_sigterm)
-    except ValueError:
-        pass  # not on the main thread (embedded/test use): no handler
-    metrics_server = None
-    if arguments.metrics_port is not None:
-        metrics_server = start_metrics_server(service, arguments.metrics_port)
-    print(
-        f"tlp-serve: ready (cache: {arguments.cache_dir or 'off'}, "
-        f"pid {os.getpid()}"
-        + (
-            f", metrics http://127.0.0.1:{metrics_server.server_address[1]}"
-            if metrics_server is not None
-            else ""
-        )
-        + ")",
-        file=sys.stderr,
-        flush=True,
-    )
-    try:
-        return serve(service, sys.stdin, sys.stdout)
-    finally:
-        if metrics_server is not None:
-            metrics_server.shutdown()
-            metrics_server.server_close()
-        # Persist the cache and flush/close any attached trace sinks so
-        # state survives orderly restarts (shutdown op, SIGTERM) *and*
-        # mid-request deaths.
-        service.close()
-        if automata_before is not None:
-            AUTOMATA.set_enabled(automata_before)
-        METRICS.enabled = was_enabled
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -30,8 +30,7 @@ before ever calling ``__eq__``, and ``__eq__`` itself starts with an
 ``is`` check.  Per-node derived results (the hash, the groundness flag,
 the variable set, short pretty-printings) are computed once per
 canonical node instead of once per structurally-equal copy.  Interning
-can be switched off (``set_interning(False)``, the ``--no-intern`` CLI
-flags, or ``TLP_NO_INTERN=1`` in the environment) to recover the seed
+can be switched off with ``set_interning(False)`` to recover the seed
 representation for differential testing; terms built under either
 setting compare and hash identically, so the two populations mix freely.
 """
@@ -39,7 +38,6 @@ setting compare and hash identically, so the two populations mix freely.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import weakref
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
@@ -120,7 +118,7 @@ class _InternTable:
         self.vars: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
         self.hits = 0
         self.misses = 0
-        self.enabled = os.environ.get("TLP_NO_INTERN", "") == ""
+        self.enabled = True
 
     def clear(self) -> None:
         with self.lock:

@@ -74,6 +74,40 @@ def test_exit_one_when_any_file_is_ill_typed(write):
     assert "well-typed" in completed.stdout  # the good file still reported
 
 
+#: Declares ``int`` at arity 1, so the built-in ``'<'(int, int)``
+#: signature cannot be formed.
+UNARY_INT_WITH_BUILTIN = """\
+FUNC c, 0.
+TYPE int, nat.
+nat >= 0.
+int(A) >= c(A).
+PRED p(int(nat)).
+p(X) :- X < 0.
+"""
+
+
+def test_exit_one_with_a_positioned_diagnostic_when_builtins_cannot_be_typed(write):
+    completed = tlp_check(write("unary_int.tlp", UNARY_INT_WITH_BUILTIN))
+    assert completed.returncode == 1
+    assert "Traceback" not in completed.stderr
+    assert "unary_int.tlp:6:1: error: built-in constraint predicates cannot be typed" in (
+        completed.stdout
+    )
+    assert "symbol int used with arity 0" in completed.stdout
+
+
+def test_check_op_reports_untypable_builtins_as_not_well_typed():
+    from repro.service.daemon import CheckService
+
+    response = CheckService().handle({"op": "check", "text": UNARY_INT_WITH_BUILTIN})
+    assert response["ok"] is True
+    assert response["well_typed"] is False
+    assert any(
+        "6:1: error: built-in constraint predicates cannot be typed" in diagnostic
+        for diagnostic in response["diagnostics"]
+    )
+
+
 def test_exit_two_on_unreadable_file(tmp_path):
     completed = tlp_check(str(tmp_path / "missing.tlp"))
     assert completed.returncode == 2

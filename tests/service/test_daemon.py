@@ -1,13 +1,18 @@
-"""The check daemon: protocol semantics, hot state, subprocess round trip."""
+"""The check service (protocol semantics, hot state) and the
+``tlp-aserve --stdio`` transport: subprocess round trips over pipes,
+regular files and ``/dev/null``."""
 
+import asyncio
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
 
 from repro import obs
-from repro.service.daemon import CheckService, serve
+from repro.service.aserver import AsyncCheckServer
+from repro.service.daemon import CheckService
 from repro.workloads import APPEND, ILL_TYPED_EXAMPLES
 
 
@@ -91,19 +96,41 @@ def test_invalidate_drops_hot_and_cached_state(tmp_path):
     assert service.handle({"op": "invalidate"})["dropped_hot"] == 1
 
 
-# -- the serve loop ----------------------------------------------------------
+# -- the stdio transport -------------------------------------------------------
 
 
-def run_session(lines, service=None):
-    out = io.StringIO()
-    serve(service or CheckService(), io.StringIO("".join(lines)), out)
-    return [json.loads(line) for line in out.getvalue().splitlines()]
+def _env():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+STDIO_SERVER = [sys.executable, "-m", "repro.service.aserver.server", "--stdio"]
+
+
+def run_session(lines, *arguments):
+    """Pipe ``lines`` into one ``tlp-aserve --stdio`` process; its replies."""
+    completed = subprocess.run(
+        [*STDIO_SERVER, *arguments],
+        input="".join(lines),
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return [json.loads(line) for line in completed.stdout.splitlines()]
 
 
 def test_serve_round_trip_check_stats_shutdown():
+    from repro.workloads.generators import synthetic_list_program
+
+    # A first check slow enough that every later line is read while it
+    # runs: the line after ``shutdown`` must still go unanswered.
     responses = run_session(
         [
-            json.dumps({"op": "check", "text": APPEND}) + "\n",
+            json.dumps({"op": "check", "text": synthetic_list_program(200)}) + "\n",
             "\n",  # blank lines are skipped
             json.dumps({"op": "stats"}) + "\n",
             json.dumps({"op": "shutdown"}) + "\n",
@@ -131,11 +158,64 @@ def test_serve_stops_at_eof_without_shutdown():
     assert len(responses) == 1
 
 
+def test_eof_without_shutdown_answers_every_queued_line():
+    # More lines than one client may queue: the end of input must still
+    # drain them all, in order, rather than cancel them.
+    lines = [
+        json.dumps({"id": index, "op": "check", "text": APPEND}) + "\n"
+        for index in range(40)
+    ]
+    responses = run_session(lines, "--max-queue", "2")
+    assert [r["id"] for r in responses] == list(range(40))
+    assert all(r["well_typed"] for r in responses)
+
+
+def test_stdio_reads_a_regular_file_and_writes_a_regular_file(tmp_path):
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text(
+        json.dumps({"op": "check", "text": APPEND}) + "\n"
+        + json.dumps({"op": "check", "text": APPEND}) + "\n"
+        + json.dumps({"op": "stats"}) + "\n"
+    )
+    replies = tmp_path / "replies.jsonl"
+    with open(requests, "rb") as stdin, open(replies, "wb") as stdout:
+        completed = subprocess.run(
+            STDIO_SERVER, stdin=stdin, stdout=stdout, stderr=subprocess.PIPE,
+            env=_env(), timeout=120,
+        )
+    assert completed.returncode == 0, completed.stderr
+    responses = [json.loads(line) for line in replies.read_text().splitlines()]
+    assert [r["op"] for r in responses] == ["check", "check", "stats"]
+    assert [r["source"] for r in responses[:2]] == ["checked", "hot"]
+    assert b"ready" in completed.stderr
+
+
+def test_stdio_from_dev_null_exits_cleanly():
+    completed = subprocess.run(
+        STDIO_SERVER, stdin=subprocess.DEVNULL, capture_output=True,
+        env=_env(), timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == b""
+    assert b"ready" in completed.stderr
+
+
+def test_stdio_accepts_a_request_line_over_64_kib():
+    text = "% " + "x" * 70_000 + "\n" + APPEND
+    request = json.dumps({"op": "check", "text": text}) + "\n"
+    assert len(request) > 64 * 1024
+    responses = run_session([request, json.dumps({"op": "shutdown"}) + "\n"])
+    assert [r["op"] for r in responses] == ["check", "shutdown"]
+    assert responses[0]["well_typed"] is True
+    assert responses[0]["clauses"] == 2
+
+
 # -- subprocess smoke --------------------------------------------------------
 
 
 def test_daemon_subprocess_round_trip(tmp_path):
-    """One real tlp-serve process: check + stats over the JSON protocol."""
+    """One real ``tlp-aserve --stdio`` process: check + stats over the
+    JSON protocol."""
     path = tmp_path / "append.tlp"
     path.write_text(APPEND)
     requests = "".join(
@@ -146,15 +226,12 @@ def test_daemon_subprocess_round_trip(tmp_path):
             {"op": "shutdown"},
         ]
     )
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
     completed = subprocess.run(
-        [sys.executable, "-m", "repro.service.daemon", "--cache-dir", str(tmp_path / "c")],
+        [*STDIO_SERVER, "--cache-dir", str(tmp_path / "c")],
         input=requests,
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(),
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
@@ -273,13 +350,13 @@ def test_health_without_cache_reports_none():
 
 def test_stats_op_carries_histograms_and_uptime():
     """Satellite: {"op": "stats"} embeds latency histograms and daemon
-    uptime over the serve loop, not just via direct handle() calls."""
-    obs.METRICS.enable()
+    uptime over the stdio transport, not just via direct handle() calls."""
     responses = run_session(
         [
             json.dumps({"op": "check", "text": APPEND}) + "\n",
             json.dumps({"op": "stats"}) + "\n",
-        ]
+        ],
+        "--stats",
     )
     stats_response = responses[1]
     assert stats_response["stats"]["uptime_s"] >= 0
@@ -364,14 +441,33 @@ def test_handle_reports_cancellation_as_structured_response():
 
 
 def test_serve_drains_when_draining_flag_set():
-    service = CheckService()
-    requests = io.StringIO(
-        json.dumps({"op": "check", "text": APPEND}) + "\n"
-        + json.dumps({"op": "stats"}) + "\n"
-    )
-    out = io.StringIO()
-    service.draining = True  # as the SIGTERM handler would set it
-    serve(service, requests, out)
+    """A drain that starts while a stdio request is in flight answers it,
+    then stops reading: a line written after the drain began is never
+    answered."""
+    read_fd, write_fd = os.pipe()
+    out = io.BytesIO()
+
+    async def session():
+        server = AsyncCheckServer()
+        server.start_stdio(read_fd, out)
+        os.write(write_fd, (json.dumps({"op": "check", "text": APPEND}) + "\n").encode())
+        for _ in range(3000):
+            if server.service.requests:
+                break
+            await asyncio.sleep(0.01)
+        await server.shutdown()  # sets the server's draining flag
+        os.write(write_fd, (json.dumps({"op": "stats"}) + "\n").encode())
+        await asyncio.sleep(0.05)
+
+    try:
+        asyncio.run(session())
+    finally:
+        os.close(write_fd)
+        for thread in threading.enumerate():
+            if thread.name == "tlp-aserve-stdin":
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        os.close(read_fd)
     responses = [json.loads(line) for line in out.getvalue().splitlines()]
     # The in-flight request's response was written, then the loop stopped.
     assert len(responses) == 1
@@ -379,30 +475,21 @@ def test_serve_drains_when_draining_flag_set():
 
 
 def test_daemon_sigterm_drains_and_persists_cache(tmp_path):
-    """A real tlp-serve process: SIGTERM → drain message, clean exit,
-    persisted cache index."""
+    """A real ``tlp-aserve --stdio`` process: SIGTERM → drain message,
+    clean exit, persisted cache index."""
     import signal as signal_module
     import time as time_module
 
     path = tmp_path / "append.tlp"
     path.write_text(APPEND)
     cache_dir = tmp_path / "cache"
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.service.daemon",
-            "--cache-dir",
-            str(cache_dir),
-        ],
+        [*STDIO_SERVER, "--cache-dir", str(cache_dir)],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env=env,
+        env=_env(),
     )
     try:
         process.stdin.write(json.dumps({"op": "check", "path": str(path)}) + "\n")
@@ -414,7 +501,7 @@ def test_daemon_sigterm_drains_and_persists_cache(tmp_path):
             if process.poll() is not None:
                 break
             time_module.sleep(0.1)
-        assert process.poll() == 0, "daemon did not exit cleanly on SIGTERM"
+        assert process.poll() == 0, "server did not exit cleanly on SIGTERM"
     finally:
         if process.poll() is None:
             process.kill()
