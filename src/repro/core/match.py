@@ -45,7 +45,7 @@ from .automata import AUTOMATA
 from .declarations import ConstraintSet
 from .recursion import ensure_recursion_capacity
 from .restrictions import validate_restrictions
-from .typing import in_agreement, merge_typings
+from .typing import agreeing_union
 
 __all__ = [
     "MATCH_FAIL",
@@ -219,10 +219,10 @@ class Matcher:
             return MATCH_FAIL
         if any(r is MATCH_BOTTOM for r in results):
             return MATCH_BOTTOM
-        typings: List[Substitution] = results  # type: ignore[assignment]
-        if not in_agreement(typings):
+        union = agreeing_union(results)  # type: ignore[arg-type]
+        if union is None:
             return MATCH_BOTTOM
-        return merge_typings(typings)
+        return Substitution(union)
 
     def _match_constructor(self, type_term: Struct, term: Struct) -> MatchResult:
         """Clause 4: the type is headed by a type constructor ``c ∈ T``."""

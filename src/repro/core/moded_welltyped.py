@@ -58,7 +58,7 @@ from .match import MATCH_BOTTOM, MATCH_FAIL
 from .modes import UNPRODUCED, ModeChecker, ModeEnv, ModeViolation
 from .predicate_types import PredicateTypeEnv
 from .subtype import SubtypeEngine
-from .welltyped import ClauseReport, WellTypedChecker
+from .welltyped import ClauseReport, ClauseTyping, ResolventTyping, WellTypedChecker
 
 __all__ = ["ModedClauseReport", "ModedWellTypedChecker", "unmoded_shared"]
 
@@ -148,10 +148,31 @@ class ModedWellTypedChecker:
             return ModedClauseReport(True, via="strict", strict_report=strict_report)
         return self._directional(None, query.goals, strict_report)
 
-    def check_resolvent(self, goals: Tuple[Struct, ...]) -> ModedClauseReport:
+    def check_resolvent(
+        self,
+        goals: Sequence[Struct],
+        parent: Optional[ResolventTyping] = None,
+        clause: Optional[ClauseTyping] = None,
+        mgu: Optional[Substitution] = None,
+    ) -> ModedClauseReport:
         """Well-typedness of a resolvent — lets ``TypedRunner`` use this
-        checker for its Theorem 6-style re-checking on moded programs."""
-        return self.check_query(Query(tuple(goals)))
+        checker for its Theorem 6-style re-checking on moded programs.
+
+        The strict check may carry the parent's witness forward (see
+        :meth:`WellTypedChecker.check_resolvent`); only a strict
+        acceptance has one, so after a directional acceptance the next
+        step runs the full check.
+        """
+        goals = tuple(goals)
+        strict_report = self.strict.check_resolvent(goals, parent, clause, mgu)
+        if strict_report.well_typed:
+            return ModedClauseReport(True, via="strict", strict_report=strict_report)
+        return self._directional(None, goals, strict_report)
+
+    def clause_typing(self, clause: Clause) -> Optional[ClauseTyping]:
+        """The strict body witnesses of ``clause`` (``None`` for a clause
+        that is only directionally well-moded)."""
+        return self.strict.clause_typing(clause)
 
     def check_program(self, program: Program) -> List[Tuple[Clause, ModedClauseReport]]:
         return [(clause, self.check_clause(clause)) for clause in program]

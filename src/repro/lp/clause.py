@@ -112,7 +112,7 @@ def rename_clause_apart(clause: Clause) -> Clause:
             if term not in mapping:
                 mapping[term] = fresh_variable()
             return mapping[term]
-        if not term.args:
+        if term.ground:
             return term
         return Struct(term.functor, tuple(walk(a) for a in term.args))
 

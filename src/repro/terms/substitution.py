@@ -8,6 +8,7 @@ module keeps both properties checkable (:meth:`Substitution.is_idempotent`,
 ``repro.terms.unify`` guarantees them.
 
 Substitutions are immutable; ``compose`` returns a new substitution.
+Application returns a ground subterm as it is, without walking it.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class Substitution:
     def _apply(self, term: Term) -> Term:
         if isinstance(term, Var):
             return self._bindings.get(term, term)
-        if not term.args:
+        if term.ground:
             return term
         new_args = tuple(self._apply(a) for a in term.args)
         if new_args == term.args:

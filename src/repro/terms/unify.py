@@ -8,6 +8,12 @@ idempotent and relevant [Apt88]", Section 4).
 The algorithm is the classic Martelli–Montanari rule set run over an
 explicit work list with a triangular (fully applied) binding map, so the
 result is idempotent by construction.
+
+Ground subterms are never descended into: no binding can change them, no
+variable occurs in them, and two ground terms unify iff they are equal.
+Each struct carries its groundness flag (``Struct.ground``), so a step
+that meets a deep ground argument (``succ^128(0)``) costs one flag test
+where it used to rebuild the whole argument.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ def _occurs(var: Var, term: Term, bindings: Dict[Var, Term]) -> bool:
         current = _walk(stack.pop(), bindings)
         if current == var:
             return True
-        if isinstance(current, Struct):
+        if isinstance(current, Struct) and not current.ground:
             stack.extend(current.args)
     return False
 
@@ -63,9 +69,7 @@ def _resolve(term: Term, bindings: Dict[Var, Term], visiting: frozenset = frozen
             return term
         seen.add(term)
         term = bindings[term]
-    if isinstance(term, Var):
-        return term
-    if not term.args:
+    if isinstance(term, Var) or term.ground:
         return term
     guarded = visiting | seen
     return Struct(term.functor, tuple(_resolve(a, bindings, guarded) for a in term.args))
@@ -96,6 +100,8 @@ def unify(left: Term, right: Term, occurs_check: bool = True) -> Optional[Substi
                 return None
             bindings[b] = a
             continue
+        if a.ground and b.ground:
+            return None  # distinct ground terms never unify
         if a.functor != b.functor or len(a.args) != len(b.args):
             return None
         work.extend(zip(a.args, b.args))
