@@ -28,7 +28,7 @@ callers can go straight from source text to typed execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set
 
 from ..core.builtins import declare_builtins, uses_builtin_goals
 from ..core.declarations import ConstraintSet, DeclarationError, SubtypeConstraint, SymbolTable
@@ -60,11 +60,20 @@ from .diagnostics import DiagnosticBag
 
 __all__ = [
     "CheckedModule",
+    "ClauseVerdict",
     "CancelToken",
     "CheckCancelled",
     "check_source",
     "check_text",
 ]
+
+
+class ClauseVerdict(NamedTuple):
+    """Step 4's verdict on one program clause — what is kept of its report."""
+
+    well_typed: bool
+    via: Optional[str]  # "strict" | "directional"
+    reason: Optional[str]
 
 
 @dataclass
@@ -86,6 +95,10 @@ class CheckedModule:
     #: modules.
     clause_positions: List[Optional["Position"]] = field(default_factory=list)
     query_positions: List[Optional["Position"]] = field(default_factory=list)
+    #: Step 4's verdict per program clause, parallel to ``program``:
+    #: ``None`` for a constrained clause (checked dynamically).  Empty when
+    #: an earlier step failed.
+    clause_verdicts: List[Optional[ClauseVerdict]] = field(default_factory=list)
     #: One subtype engine for the whole module: every pipeline stage that
     #: issues ``⪰_C`` goals (moded checking, mode analysis, witness audits,
     #: typed/constrained execution) shares this instance, so its ground
@@ -350,10 +363,14 @@ def _check_source(
     for clause, item in zip(module.program, clause_items):
         checkpoint(cancel)
         if any(_is_constraint_goal(goal) for goal in clause.body):
+            module.clause_verdicts.append(None)
             continue  # constrained-model clause: checked dynamically
         detail = str(clause) if TRACER.enabled else ""
         with METRICS.time("checker.clause_check"), TRACER.span("check_clause", detail):
             report = moded.check_clause(clause) if moded else checker.check_clause(clause)
+        module.clause_verdicts.append(
+            ClauseVerdict(report.well_typed, getattr(report, "via", "strict"), report.reason)
+        )
         METRICS.inc("checker.clauses_checked")
         if not report.well_typed:
             METRICS.inc("checker.clauses_rejected")

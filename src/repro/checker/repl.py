@@ -153,22 +153,17 @@ class Repl:
         from ..lang.render import render_modes
 
         out = render_modes(modes).splitlines()
-        moded = self.module.moded_checker
-        if moded is None:
+        if self.module.moded_checker is None:
             return out
         out.append("")
-        for clause in self.module.program:
-            if any(
-                goal.functor == ":" and len(goal.args) == 2
-                for goal in clause.body
-            ):
+        # The verdicts the frontend reached when it loaded the module.
+        for clause, verdict in zip(self.module.program, self.module.clause_verdicts):
+            if verdict is None:
                 out.append(f"{clause}  --  constrained (checked dynamically)")
-                continue
-            report = moded.check_clause(clause)
-            if report.well_typed:
-                out.append(f"{clause}  --  well-moded via {report.via}")
+            elif verdict.well_typed:
+                out.append(f"{clause}  --  well-moded via {verdict.via}")
             else:
-                out.append(f"{clause}  --  NOT well-moded: {report.reason}")
+                out.append(f"{clause}  --  NOT well-moded: {verdict.reason}")
         return out
 
     def _infer(self, rest: str) -> List[str]:

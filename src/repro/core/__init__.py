@@ -47,13 +47,21 @@ from .typed_run import (
     TypedRunner,
 )
 from .typing import (
+    agreeing_union,
     in_agreement,
     is_respectful_typing,
     is_typing,
     merge_typings,
     more_general_typing,
 )
-from .welltyped import AtomCheck, ClauseReport, ProgramReport, WellTypedChecker
+from .welltyped import (
+    AtomCheck,
+    ClauseReport,
+    ClauseTyping,
+    ProgramReport,
+    ResolventTyping,
+    WellTypedChecker,
+)
 
 __all__ = [
     # built-in constraint predicates (typed-CLP extension)
@@ -97,6 +105,7 @@ __all__ = [
     "is_respectful_typing",
     "more_general_typing",
     "in_agreement",
+    "agreeing_union",
     "merge_typings",
     "Matcher",
     "MatchResult",
@@ -112,6 +121,8 @@ __all__ = [
     "ClauseReport",
     "ProgramReport",
     "AtomCheck",
+    "ClauseTyping",
+    "ResolventTyping",
     "TYPED_RUN_CODE",
     "SubjectReductionViolation",
     "TypedRunResult",

@@ -1,5 +1,7 @@
 """REPL tests via the non-interactive session driver."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.checker.repl import Repl, run_session
@@ -176,6 +178,57 @@ def test_modes_command_lists_declarations_and_verdicts():
         "nat2int(X, X)" in line and "well-moded via directional" in line
         for line in out
     )
+
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "programs"
+
+MODED_CONSTRAINED_SOURCE = MODED_SOURCE + """\
+PRED pick(int).
+MODE pick(OUT).
+pick(X) :- produce(X), X : nat.
+"""
+
+
+def _modes_by_rechecking(module):
+    """What ``:modes`` printed when it re-ran the moded checker per clause."""
+    from repro.lang.render import render_modes
+
+    out = render_modes(module.modes).splitlines()
+    out.append("")
+    for clause in module.program:
+        if any(goal.functor == ":" and len(goal.args) == 2 for goal in clause.body):
+            out.append(f"{clause}  --  constrained (checked dynamically)")
+            continue
+        report = module.moded_checker.check_clause(clause)
+        if report.well_typed:
+            out.append(f"{clause}  --  well-moded via {report.via}")
+        else:
+            out.append(f"{clause}  --  NOT well-moded: {report.reason}")
+    return out
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        MODED_SOURCE,
+        MODED_CONSTRAINED_SOURCE,
+        (EXAMPLES / "modes.tlp").read_text(encoding="utf-8"),
+    ],
+    ids=["moded", "moded-constrained", "examples-modes"],
+)
+def test_modes_command_prints_the_frontend_verdicts(source, monkeypatch):
+    from repro.core.moded_welltyped import ModedWellTypedChecker
+
+    module = check_text(source)
+    assert module.ok, module.diagnostics.render()
+    expected = _modes_by_rechecking(module)
+    repl = Repl(module)
+
+    def no_recheck(self, clause):
+        raise AssertionError(":modes re-ran the clause check")
+
+    monkeypatch.setattr(ModedWellTypedChecker, "check_clause", no_recheck)
+    assert repl.execute(":modes") == expected
 
 
 def test_modes_command_without_declarations():

@@ -3,10 +3,15 @@
 The Section 4 examples are replayed verbatim.
 """
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     SubtypeEngine,
+    agreeing_union,
     in_agreement,
     is_respectful_typing,
     is_typing,
@@ -115,6 +120,37 @@ def test_agreement_is_pairwise():
 def test_empty_set_agrees():
     assert in_agreement([])
     assert in_agreement([typing(X="int")])
+
+
+def _pairwise_agreement(typings):
+    """Definition 12 as written: every pair agrees on its common variables."""
+    return all(
+        first[var] == second[var]
+        for first, second in combinations(typings, 2)
+        for var in first.domain & second.domain
+    )
+
+
+# Few variables and few types, so clashes and repeats are both common.
+_TYPES = [T(text) for text in ("int", "nat", "list(A)", "list(B)", "list(int)", "A")]
+_TYPINGS = st.lists(
+    st.dictionaries(
+        st.sampled_from([Var(name) for name in "XYZ"]),
+        st.sampled_from(_TYPES),
+        max_size=3,
+    ).map(Substitution),
+    max_size=6,
+)
+
+
+@settings(max_examples=400)
+@given(_TYPINGS)
+def test_one_pass_agreement_matches_the_pairwise_definition(typings):
+    assert in_agreement(typings) == _pairwise_agreement(typings)
+    union = agreeing_union(typings)
+    assert (union is not None) == _pairwise_agreement(typings)
+    if union is not None:
+        assert Substitution(union) == merge_typings(typings)
 
 
 def test_merge_typings():
