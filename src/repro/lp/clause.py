@@ -15,12 +15,12 @@ the very same clause language for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple, Union
 
 from ..terms.pretty import pretty
 from ..terms.term import Struct, Term, Var, fresh_variable, variables_of
 
-__all__ = ["Clause", "Query", "Program", "rename_clause_apart"]
+__all__ = ["Clause", "ClauseTemplate", "Query", "Program", "rename_clause_apart"]
 
 
 @dataclass(frozen=True)
@@ -119,3 +119,46 @@ def rename_clause_apart(clause: Clause) -> Clause:
     head = walk(clause.head)
     assert isinstance(head, Struct)
     return Clause(head, tuple(walk(a) for a in clause.body))  # type: ignore[arg-type]
+
+
+#: A compiled clause term: a slot number for a clause variable, a ground
+#: struct shared as it is, or ``(functor, children)`` for a non-ground
+#: compound — the shape ``repro.core.declarations`` compiles constraint
+#: right-hand sides to.
+TemplateNode = Union[int, Struct, Tuple[str, tuple]]
+
+
+class ClauseTemplate:
+    """``clause`` compiled once for resolution.
+
+    Variables are numbered by first occurrence, head first, so a
+    resolution step never renames the clause apart: it unifies the goal
+    against :attr:`head` in a slot environment (``repro.lp.resolution``)
+    and builds :attr:`body` from it, drawing fresh variables only for
+    slots the head left unbound.
+    """
+
+    __slots__ = ("clause", "head", "body", "slots")
+
+    def __init__(self, clause: Clause) -> None:
+        numbering: Dict[Var, int] = {}
+        self.clause = clause
+        #: The head's argument templates (the predicate is the goal's).
+        self.head: Tuple[TemplateNode, ...] = tuple(
+            _compile(arg, numbering) for arg in clause.head.args
+        )
+        self.body: Tuple[TemplateNode, ...] = tuple(
+            _compile(goal, numbering) for goal in clause.body
+        )
+        self.slots = len(numbering)
+
+
+def _compile(term: Term, numbering: Dict[Var, int]) -> TemplateNode:
+    if isinstance(term, Var):
+        slot = numbering.get(term)
+        if slot is None:
+            slot = numbering[term] = len(numbering)
+        return slot
+    if term.ground:
+        return term
+    return (term.functor, tuple(_compile(arg, numbering) for arg in term.args))

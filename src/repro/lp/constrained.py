@@ -33,11 +33,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.subtype import SubtypeEngine
 from ..terms.pretty import pretty
-from ..terms.substitution import Substitution
+from ..terms.substitution import EMPTY_SUBSTITUTION, Substitution
 from ..terms.term import Struct, Term, is_ground, variables_of
-from ..terms.unify import unify
-from .clause import rename_clause_apart
 from .database import Database
+from .resolution import resolve_answer, resolve_step
 
 __all__ = [
     "TypeConstraint",
@@ -83,12 +82,15 @@ class ConstrainedResult:
 
 
 class _Frame:
-    __slots__ = ("goals", "constraints", "answer", "depth", "choices", "position")
+    """A node of the SLD tree; ``theta`` is the goal-side mgu of the step
+    that produced it (see ``repro.lp.resolution``)."""
 
-    def __init__(self, goals, constraints, answer, depth, choices) -> None:
+    __slots__ = ("goals", "constraints", "theta", "depth", "choices", "position")
+
+    def __init__(self, goals, constraints, theta, depth, choices) -> None:
         self.goals = goals
         self.constraints = constraints
-        self.answer = answer
+        self.theta = theta
         self.depth = depth
         self.choices = choices
         self.position = 0
@@ -145,16 +147,21 @@ class ConstrainedInterpreter:
         query_vars = sorted(
             {v for g in goals for v in variables_of(g)}, key=lambda v: v.name
         )
-        answer_skeleton = Struct("'$answer", tuple(query_vars))
         settled = self._settle(constraints)
         if settled is None:
             result.pruned_by_constraints += 1
             return result
         if not ordinary:
-            self._emit(result, answer_skeleton, query_vars, settled)
+            result.answers.append(ConstrainedAnswer(EMPTY_SUBSTITUTION, settled))
             return result
         stack = [
-            _Frame(ordinary, settled, answer_skeleton, 0, self.database.candidates(ordinary[0]))
+            _Frame(
+                ordinary,
+                settled,
+                EMPTY_SUBSTITUTION,
+                0,
+                self.database.templates(ordinary[0]),
+            )
         ]
         while stack:
             frame = stack[-1]
@@ -165,13 +172,12 @@ class ConstrainedInterpreter:
             if frame.position >= len(frame.choices):
                 stack.pop()
                 continue
-            clause = frame.choices[frame.position]
+            template = frame.choices[frame.position]
             frame.position += 1
-            renamed = rename_clause_apart(clause)
-            theta = unify(frame.goals[0], renamed.head)
-            if theta is None:
+            resolved = resolve_step(template, frame.goals)
+            if resolved is None:
                 continue
-            new_goals = tuple(theta.apply(g) for g in renamed.body + frame.goals[1:])
+            theta, new_goals = resolved
             # Clause bodies may themselves carry constraints.
             new_goals, body_constraints = self.split_goals(new_goals)
             new_constraints = tuple(
@@ -182,10 +188,11 @@ class ConstrainedInterpreter:
             if settled is None:
                 result.pruned_by_constraints += 1
                 continue
-            new_answer = theta.apply(frame.answer)
-            assert isinstance(new_answer, Struct)
             if not new_goals:
-                self._emit(result, new_answer, query_vars, settled)
+                path = [node.theta for node in stack[1:]]
+                path.append(theta)
+                answer = resolve_answer(query_vars, path)
+                result.answers.append(ConstrainedAnswer(answer, settled))
                 if max_answers is not None and len(result.answers) >= max_answers:
                     return result
                 continue
@@ -193,20 +200,9 @@ class ConstrainedInterpreter:
                 _Frame(
                     new_goals,
                     settled,
-                    new_answer,
+                    theta,
                     frame.depth + 1,
-                    self.database.candidates(new_goals[0]),
+                    self.database.templates(new_goals[0]),
                 )
             )
         return result
-
-    @staticmethod
-    def _emit(result, answer_term: Struct, query_vars, residual) -> None:
-        bindings = {
-            var: value
-            for var, value in zip(query_vars, answer_term.args)
-            if value != var
-        }
-        result.answers.append(
-            ConstrainedAnswer(Substitution(bindings), tuple(residual))
-        )

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple
 
 from ..terms.term import Struct, Var
-from .clause import Clause, Program
+from .clause import Clause, ClauseTemplate, Program
 
 __all__ = ["Database"]
 
@@ -26,30 +26,52 @@ _Indicator = Tuple[str, int]
 
 
 class _PredicateEntry:
-    """Clauses of one predicate plus its first-argument index."""
+    """Templates of one predicate plus its first-argument index.
 
-    __slots__ = ("clauses", "by_first_arg", "var_first_arg")
+    Candidate lists are built once per first-argument symbol and kept
+    until the next :meth:`add`; callers must not mutate them.
+    """
+
+    __slots__ = ("templates", "by_first_arg", "var_first_arg", "_merged")
 
     def __init__(self) -> None:
-        # (sequence number, clause) pairs, in insertion order.
-        self.clauses: List[Tuple[int, Clause]] = []
-        self.by_first_arg: Dict[_Indicator, List[Tuple[int, Clause]]] = {}
-        self.var_first_arg: List[Tuple[int, Clause]] = []
+        self.templates: List[ClauseTemplate] = []
+        # (sequence number, template) pairs, merged in program order.
+        self.by_first_arg: Dict[_Indicator, List[Tuple[int, ClauseTemplate]]] = {}
+        self.var_first_arg: List[Tuple[int, ClauseTemplate]] = []
+        self._merged: Dict[_Indicator, List[ClauseTemplate]] = {}
 
-    def add(self, seq: int, clause: Clause) -> None:
-        self.clauses.append((seq, clause))
-        if not clause.head.args:
+    def add(self, seq: int, template: ClauseTemplate) -> None:
+        self.templates.append(template)
+        self._merged.clear()
+        head = template.clause.head
+        if not head.args:
             return
-        first = clause.head.args[0]
+        first = head.args[0]
         if isinstance(first, Var):
-            self.var_first_arg.append((seq, clause))
+            self.var_first_arg.append((seq, template))
         else:
             assert isinstance(first, Struct)
-            self.by_first_arg.setdefault(first.indicator, []).append((seq, clause))
+            self.by_first_arg.setdefault(first.indicator, []).append((seq, template))
+
+    def indexed(self, indicator: _Indicator) -> List[ClauseTemplate]:
+        """The templates whose first head argument may unify with a
+        struct of ``indicator``, in program order."""
+        merged = self._merged.get(indicator)
+        if merged is None:
+            # Merge the indexed bucket with variable-headed clauses by
+            # sequence number so program order is preserved.
+            pairs = sorted(
+                self.by_first_arg.get(indicator, []) + self.var_first_arg,
+                key=lambda pair: pair[0],
+            )
+            merged = self._merged[indicator] = [template for _, template in pairs]
+        return merged
 
 
 class Database:
-    """An indexed store of program clauses."""
+    """An indexed store of program clauses, each compiled to a
+    :class:`~repro.lp.clause.ClauseTemplate` when it is added."""
 
     def __init__(self, clauses: Iterable[Clause] = (), first_arg_indexing: bool = True) -> None:
         self._entries: Dict[_Indicator, _PredicateEntry] = {}
@@ -66,11 +88,11 @@ class Database:
     def add(self, clause: Clause) -> None:
         """Append ``clause`` (program order is preserved for candidates)."""
         entry = self._entries.setdefault(clause.indicator, _PredicateEntry())
-        entry.add(self._seq, clause)
+        entry.add(self._seq, ClauseTemplate(clause))
         self._seq += 1
 
     def __len__(self) -> int:
-        return sum(len(entry.clauses) for entry in self._entries.values())
+        return sum(len(entry.templates) for entry in self._entries.values())
 
     def predicates(self) -> List[_Indicator]:
         """All predicate indicators with at least one clause."""
@@ -81,7 +103,7 @@ class Database:
         entry = self._entries.get(indicator)
         if entry is None:
             return []
-        return [clause for _, clause in entry.clauses]
+        return [template.clause for template in entry.templates]
 
     def candidates(self, goal: Struct) -> List[Clause]:
         """Clauses whose head might unify with ``goal``, in program order.
@@ -90,21 +112,17 @@ class Database:
         with ``goal`` is returned (completeness), some returned clauses
         may still fail to unify.
         """
+        return [template.clause for template in self.templates(goal)]
+
+    def templates(self, goal: Struct) -> List[ClauseTemplate]:
+        """The compiled :meth:`candidates` of ``goal`` — a shared list,
+        not to be mutated."""
         entry = self._entries.get(goal.indicator)
         if entry is None:
             return []
         if not self.first_arg_indexing or not goal.args:
-            return [clause for _, clause in entry.clauses]
+            return entry.templates
         first = goal.args[0]
         if isinstance(first, Var):
-            return [clause for _, clause in entry.clauses]
-        assert isinstance(first, Struct)
-        indexed = entry.by_first_arg.get(first.indicator, [])
-        if not entry.var_first_arg:
-            return [clause for _, clause in indexed]
-        # Merge the indexed bucket with variable-headed clauses by sequence
-        # number so program order is preserved.
-        merged: List[Tuple[int, Clause]] = sorted(
-            indexed + entry.var_first_arg, key=lambda pair: pair[0]
-        )
-        return [clause for _, clause in merged]
+            return entry.templates
+        return entry.indexed(first.indicator)

@@ -11,6 +11,17 @@ Design points:
 * **Leftmost selection** (as assumed "without loss of generality" in the
   paper's proofs) over an explicit backtracking stack — no Python
   recursion, so very deep derivations (the benchmark families) are fine.
+* **One-pass steps** (:func:`resolve_step`).  The database compiles each
+  clause once into a slot-numbered :class:`~repro.lp.clause.ClauseTemplate`.
+  A step unifies the selected goal against the head template in a slot
+  environment — an unbound slot takes the goal's term as it is — and
+  builds the body once from the result, so a failed attempt builds
+  nothing and the clause is never renamed apart.  A tail goal that is
+  ground or whose variables miss ``dom θ`` stays the same object.
+* **Answers read once.**  Each frame keeps the mgu that produced it; at
+  the empty resolvent :func:`resolve_answer` resolves the query's
+  variables through the branch's mgus in one iterative pass, so neither
+  failed branches nor long derivations pay for an answer skeleton.
 * **Depth bounding + iterative deepening.**  Plain depth-first SLD is
   incomplete (it can dive into an infinite branch); the naive subtype
   prover needs a complete search, which :func:`solve_iterative_deepening`
@@ -20,7 +31,8 @@ Design points:
   goal list after applying the step's mgu), which is how the Theorem 6
   consistency experiment observes "every atom of every resolvent".
   ``on_step`` sees the whole step instead — the parent frame's note, the
-  selected clause, the mgu and the resolvent — and returns the note the
+  selected clause, the goal side of the mgu (see :data:`StepHook`) and
+  the resolvent — and returns the note the
   new frame carries, so a hook can thread per-branch state (the typed
   runner's carried typing η) through backtracking without a side table.
 * **Variant loop check** (off by default).  With ``variant_check=True`` a
@@ -42,23 +54,34 @@ Design points:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..obs import METRICS, TRACER, SldStepEvent
 from ..terms.pretty import pretty
 from ..terms.substitution import EMPTY_SUBSTITUTION, Substitution
-from ..terms.term import Struct, Var, variables_of
-from ..terms.unify import unify
-from .clause import Clause, rename_clause_apart
+from ..terms.term import Struct, Term, Var, _variables_frozen, fresh_variable, variables_of
+from ..terms.unify import _occurs, _resolve
+from .clause import Clause, ClauseTemplate, TemplateNode
 from .database import Database
 
-__all__ = ["SLDStats", "SLDResult", "SLDEngine", "solve", "solve_iterative_deepening"]
+__all__ = [
+    "SLDStats",
+    "SLDResult",
+    "SLDEngine",
+    "solve",
+    "solve_iterative_deepening",
+    "resolve_step",
+    "resolve_answer",
+]
 
 Resolvent = Tuple[Struct, ...]
 ResolventHook = Callable[[Resolvent], None]
 #: ``on_step(parent_note, clause, mgu, resolvent) -> note``: ``clause`` is
-#: the program clause as stored (before renaming apart); the root frame's
-#: note is the one passed to :meth:`SLDEngine.solve`.
+#: the program clause as stored; ``mgu`` is the goal side of the step's
+#: most general unifier — its domain is the parent resolvent's variables
+#: it binds, never the clause's — and it is idempotent when the occurs
+#: check is on.  The root frame's note is the one passed to
+#: :meth:`SLDEngine.solve`.
 StepHook = Callable[[Any, Clause, Substitution, Resolvent], Any]
 
 
@@ -106,29 +129,265 @@ def _canonical(goals: Resolvent) -> Tuple:
     return tuple(walk(goal) for goal in goals)
 
 
+def _deref(term: Term, bindings: Dict[Var, Term]) -> Term:
+    while isinstance(term, Var):
+        value = bindings.get(term)
+        if value is None:
+            return term
+        term = value
+    return term
+
+
+def _build(node: TemplateNode, env: List[Optional[Term]], drawn: Set[Var]) -> Term:
+    """The template subterm ``node`` over ``env``; a slot still unbound
+    gets a fresh variable (recorded in ``drawn``).  Recursion follows the
+    clause's own nesting, never a goal's: slot values are spliced in."""
+    kind = type(node)
+    if kind is int:
+        value = env[node]  # type: ignore[index]
+        if value is None:
+            value = env[node] = fresh_variable()  # type: ignore[index]
+            drawn.add(value)  # type: ignore[arg-type]
+        return value
+    if kind is tuple:
+        functor, children = node  # type: ignore[misc]
+        return Struct(functor, tuple([_build(child, env, drawn) for child in children]))
+    return node  # type: ignore[return-value]
+
+
+def _unify_terms(
+    left: Term,
+    right: Term,
+    bindings: Dict[Var, Term],
+    drawn: Set[Var],
+    occurs_check: bool,
+) -> bool:
+    """Martelli–Montanari over the step's triangular ``bindings``
+    (``repro.terms.unify``'s loop).  Of two variables, one drawn in this
+    step is the one bound, so goal variables stay in the resolvent."""
+    work = [(left, right)]
+    while work:
+        a, b = work.pop()
+        a = _deref(a, bindings)
+        b = _deref(b, bindings)
+        if a == b:
+            continue
+        if isinstance(a, Var):
+            if isinstance(b, Var) and b in drawn:
+                a, b = b, a
+            if occurs_check and _occurs(a, b, bindings):
+                return False
+            bindings[a] = b
+            continue
+        if isinstance(b, Var):
+            if occurs_check and _occurs(b, a, bindings):
+                return False
+            bindings[b] = a
+            continue
+        if a.ground and b.ground:
+            return False  # distinct ground terms never unify
+        if a.functor != b.functor or len(a.args) != len(b.args):
+            return False
+        work.extend(zip(a.args, b.args))
+    return True
+
+
+def _unify_head(
+    template: ClauseTemplate,
+    goal: Struct,
+    env: List[Optional[Term]],
+    bindings: Dict[Var, Term],
+    drawn: Set[Var],
+    occurs_check: bool,
+) -> bool:
+    """Unify ``goal`` with the template's head, filling ``env`` and the
+    goal side of ``bindings``.  An unbound slot takes the goal's term as
+    it is; a compound template meeting an unbound goal variable is built
+    last, once every slot the rest of the head can bind is bound."""
+    pairs: List[Tuple[TemplateNode, Term]] = list(zip(template.head, goal.args))
+    deferred: List[Tuple[TemplateNode, Var]] = []
+    while True:
+        while pairs:
+            node, term = pairs.pop()
+            kind = type(node)
+            if kind is int:
+                bound = env[node]  # type: ignore[index]
+                if bound is None:
+                    env[node] = term  # type: ignore[index]
+                elif not _unify_terms(bound, term, bindings, drawn, occurs_check):
+                    return False
+                continue
+            if kind is not tuple:  # a ground template subterm
+                if not _unify_terms(node, term, bindings, drawn, occurs_check):
+                    return False
+                continue
+            term = _deref(term, bindings)
+            if isinstance(term, Var):
+                deferred.append((node, term))
+                continue
+            functor, children = node  # type: ignore[misc]
+            if term.functor != functor or len(term.args) != len(children):
+                return False
+            pairs.extend(zip(children, term.args))
+        if not deferred:
+            return True
+        node, var = deferred.pop()
+        term = _deref(var, bindings)
+        if not isinstance(term, Var):
+            pairs.append((node, term))
+            continue
+        built = _build(node, env, drawn)
+        if occurs_check and _occurs(term, built, bindings):
+            return False
+        bindings[term] = built
+
+
+def resolve_step(
+    template: ClauseTemplate,
+    goals: Resolvent,
+    occurs_check: bool = True,
+) -> Optional[Tuple[Substitution, Resolvent]]:
+    """One SLD step: resolve ``goals[0]`` against ``template``'s clause.
+
+    Returns ``(θ, resolvent)`` or ``None`` when the head does not unify,
+    in which case nothing was built.  ``θ`` is the goal side of the mgu:
+    its domain is the variables of ``goals`` it binds.  The resolvent is
+    the clause body, built once from the resolved slot environment,
+    followed by ``goals[1:]θ``; a tail goal that is ground or whose
+    variables miss ``dom θ`` is kept as the same object.
+    """
+    env: List[Optional[Term]] = [None] * template.slots
+    bindings: Dict[Var, Term] = {}
+    drawn: Set[Var] = set()
+    if not _unify_head(template, goals[0], env, bindings, drawn, occurs_check):
+        return None
+    rest = goals[1:]
+    if not bindings:
+        theta = EMPTY_SUBSTITUTION
+    else:
+        for slot, value in enumerate(env):
+            if value is not None:
+                env[slot] = _resolve(value, bindings)
+        theta = Substitution(
+            {var: _resolve(var, bindings) for var in bindings if var not in drawn}
+        )
+        if theta:
+            domain = theta.domain
+            rest = tuple(
+                [
+                    goal
+                    if goal.ground or domain.isdisjoint(_variables_frozen(goal))
+                    else theta.apply(goal)
+                    for goal in rest
+                ]
+            )
+    if not template.body:
+        return theta, rest  # type: ignore[return-value]
+    body = tuple([_build(node, env, drawn) for node in template.body])
+    return theta, body + rest  # type: ignore[return-value]
+
+
+def resolve_answer(variables: Sequence[Var], path: Sequence[Substitution]) -> Substitution:
+    """``variables`` under the mgus ``θ_1 … θ_n`` of a derivation, applied
+    in sequence, as a substitution.
+
+    Each binding is resolved once (memoized on the variable and the step
+    that bound it), without recursion, so an answer costs its size rather
+    than its size times the derivation's length.  A variable the occurs
+    check would have refused to bind cyclically (``X ↦ f(X)``) may be
+    bound again by a later step; it is then read at each step in turn,
+    exactly as applying the mgus one after another would.
+    """
+    bound: Dict[Var, List[Tuple[int, Term]]] = {}
+    for step, theta in enumerate(path):
+        for var, value in theta.items():
+            entries = bound.get(var)
+            if entries is None:
+                bound[var] = [(step, value)]
+            else:
+                entries.append((step, value))
+    if not bound:
+        return EMPTY_SUBSTITUTION
+    memo: Dict[Tuple[Var, int], Term] = {}
+    answer: Dict[Var, Term] = {}
+    for var in variables:
+        answer[var] = _evaluate(var, bound, memo)
+    return Substitution(answer)
+
+
+def _evaluate(
+    term: Term,
+    bound: Dict[Var, List[Tuple[int, Term]]],
+    memo: Dict[Tuple[Var, int], Term],
+) -> Term:
+    """``term`` at step 0 under :func:`resolve_answer`'s bindings: each
+    variable is replaced by the value of its next binding at or after the
+    step that reads it, that value being read from the following step on.
+    An explicit stack of ``(struct, step, rebuilt args, memo keys)``
+    frames replaces recursion."""
+    frames: List[Tuple[Struct, int, List[Term], List[Tuple[Var, int]]]] = []
+    step = 0
+    while True:
+        keys: List[Tuple[Var, int]] = []
+        while isinstance(term, Var):
+            entry = None
+            for candidate in bound.get(term, ()):
+                if candidate[0] >= step:
+                    entry = candidate
+                    break
+            if entry is None:
+                break
+            key = (term, entry[0])
+            cached = memo.get(key)
+            if cached is not None:
+                term = cached
+                break
+            keys.append(key)
+            term, step = entry[1], entry[0] + 1
+        else:
+            if not term.ground:
+                frames.append((term, step, [], keys))
+                term = term.args[0]
+                continue
+        value = term
+        for key in keys:
+            memo[key] = value
+        while frames:
+            node, step, built, owners = frames[-1]
+            built.append(value)
+            if len(built) < len(node.args):
+                term = node.args[len(built)]
+                break
+            frames.pop()
+            value = node if tuple(built) == node.args else Struct(node.functor, tuple(built))
+            for key in owners:
+                memo[key] = value
+        else:
+            return value
+
+
 class _Frame:
     """One node of the SLD tree: pending goals and remaining clause choices.
 
-    ``answer`` is the query's variable tuple with the accumulated mgus
-    applied.  Threading this skeleton instead of composing substitutions
-    keeps per-step cost proportional to the answer's size — eager
-    composition would re-walk every accumulated binding at every step,
-    turning linear derivations cubic.
+    ``theta`` is the goal side of the mgu of the step that produced this
+    frame (empty at the root).  The stack of frames is the current branch,
+    so an answer is read off it once, by :func:`resolve_answer`, when the
+    branch reaches the empty resolvent; a failed branch never pays for it.
     """
 
-    __slots__ = ("goals", "answer", "depth", "choices", "position", "canon", "note")
+    __slots__ = ("goals", "theta", "depth", "choices", "position", "canon", "note")
 
     def __init__(
         self,
         goals: Resolvent,
-        answer: Struct,
+        theta: Substitution,
         depth: int,
-        choices: Sequence[Clause],
+        choices: Sequence[ClauseTemplate],
         canon: Optional[Tuple] = None,
         note: Any = None,
     ) -> None:
         self.goals = goals
-        self.answer = answer
+        self.theta = theta
         self.depth = depth
         self.choices = choices
         self.position = 0
@@ -183,13 +442,12 @@ class SLDEngine:
         for goal in goals:
             query_vars |= variables_of(goal)
         ordered_vars: Tuple[Var, ...] = tuple(sorted(query_vars, key=lambda v: v.name))
-        answer_skeleton = Struct("'$answer", ordered_vars)
         on_path: Set[Tuple] = set()
         root = _Frame(
             goals,
-            answer_skeleton,
+            EMPTY_SUBSTITUTION,
             0,
-            self.database.candidates(goals[0]),
+            self.database.templates(goals[0]),
             _canonical(goals) if self.variant_check else None,
             note,
         )
@@ -263,30 +521,25 @@ class SLDEngine:
             if frame.position >= len(frame.choices):
                 pop_frame()
                 continue
-            clause = frame.choices[frame.position]
+            template = frame.choices[frame.position]
             frame.position += 1
             if step_limit is not None and steps_taken >= step_limit:
                 self.hit_step_limit = True
                 self.stats.step_budget_hits += 1
                 return
             steps_taken += 1
-            renamed = rename_clause_apart(clause)
             self.stats.unification_attempts += 1
-            theta = unify(frame.goals[0], renamed.head, occurs_check=self.occurs_check)
-            if theta is None:
+            resolved = resolve_step(template, frame.goals, self.occurs_check)
+            if resolved is None:
                 self.stats.unification_failures += 1
                 continue
+            theta, new_goals = resolved
             self.stats.steps += 1
-            new_goals: Resolvent = tuple(
-                theta.apply(g) for g in renamed.body + frame.goals[1:]
-            )
-            new_answer = theta.apply(frame.answer)
-            assert isinstance(new_answer, Struct)
             if self.on_resolvent is not None:
                 self.on_resolvent(new_goals)
             note = None
             if self.on_step is not None:
-                note = self.on_step(frame.note, clause, theta, new_goals)
+                note = self.on_step(frame.note, template.clause, theta, new_goals)
             depth = frame.depth + 1
             if depth > self.stats.max_depth_reached:
                 self.stats.max_depth_reached = depth
@@ -298,13 +551,9 @@ class SLDEngine:
                     resolvent_size=len(new_goals),
                 )
             if not new_goals:
-                yield Substitution(
-                    {
-                        var: value
-                        for var, value in zip(ordered_vars, new_answer.args)
-                        if value != var
-                    }
-                )
+                path = [node.theta for node in stack[1:]]
+                path.append(theta)
+                yield resolve_answer(ordered_vars, path)
                 continue
             canon: Optional[Tuple] = None
             if self.variant_check:
@@ -316,9 +565,9 @@ class SLDEngine:
             stack.append(
                 _Frame(
                     new_goals,
-                    new_answer,
+                    theta,
                     depth,
-                    self.database.candidates(new_goals[0]),
+                    self.database.templates(new_goals[0]),
                     canon,
                     note,
                 )

@@ -61,7 +61,8 @@ def _resolve(term: Term, bindings: Dict[Var, Term], visiting: frozenset = frozen
     ``visiting`` guards against the cyclic bindings that can arise with
     the occurs check disabled: a variable reached through its own binding
     is left as a variable (the substitution is then not a true unifier —
-    unification without occurs check is unsound by design).
+    unification without occurs check is unsound by design).  A subterm
+    no binding changes is returned as it is.
     """
     seen = set()
     while isinstance(term, Var) and term in bindings:
@@ -71,8 +72,9 @@ def _resolve(term: Term, bindings: Dict[Var, Term], visiting: frozenset = frozen
         term = bindings[term]
     if isinstance(term, Var) or term.ground:
         return term
-    guarded = visiting | seen
-    return Struct(term.functor, tuple(_resolve(a, bindings, guarded) for a in term.args))
+    guarded = visiting | seen if seen else visiting
+    args = tuple([_resolve(a, bindings, guarded) for a in term.args])
+    return term if args == term.args else Struct(term.functor, args)
 
 
 def unify(left: Term, right: Term, occurs_check: bool = True) -> Optional[Substitution]:

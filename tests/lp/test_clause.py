@@ -1,6 +1,7 @@
 """Tests for clauses, programs and standardising apart."""
 
 from repro.lp import Clause, Program, Query, rename_clause_apart
+from repro.lp.clause import ClauseTemplate
 from repro.terms import Var, atom, struct, variables_of
 
 
@@ -70,3 +71,17 @@ def test_rename_apart_twice_differs():
     first = rename_clause_apart(clause)
     second = rename_clause_apart(clause)
     assert first.variables().isdisjoint(second.variables())
+
+
+def test_clause_template_numbers_variables_and_shares_ground_terms():
+    ground = struct("cons", atom("a"), atom("nil"))
+    clause = Clause(
+        struct("app", struct("cons", Var("X"), Var("L")), ground, struct("cons", Var("X"), Var("N"))),
+        (struct("app", Var("L"), ground, Var("N")),),
+    )
+    template = ClauseTemplate(clause)
+    assert template.clause is clause
+    assert template.slots == 3
+    assert template.head == (("cons", (0, 1)), ground, ("cons", (0, 2)))
+    assert template.head[1] is ground
+    assert template.body == (("app", (1, ground, 2)),)

@@ -89,3 +89,24 @@ def test_from_program():
     program = Program(_program())
     db = Database.from_program(program)
     assert len(db) == 3
+
+
+def test_templates_are_the_compiled_candidates():
+    db = Database(_program())
+    for goal in [
+        struct("app", atom("nil"), Var("B"), Var("C")),
+        struct("app", struct("cons", atom("a"), atom("nil")), Var("B"), Var("C")),
+        struct("app", Var("A"), Var("B"), Var("C")),
+        struct("unknown", Var("X")),
+    ]:
+        assert [t.clause for t in db.templates(goal)] == db.candidates(goal)
+
+
+def test_template_lists_are_built_once_and_follow_additions():
+    db = Database(_program())
+    goal = struct("app", atom("nil"), Var("B"), Var("C"))
+    first = db.templates(goal)
+    assert db.templates(goal) is first
+    db.add(Clause(struct("app", Var("X"), atom("nil"), atom("nil"))))
+    assert len(db.templates(goal)) == 2
+    assert [t.clause for t in db.templates(goal)] == db.candidates(goal)

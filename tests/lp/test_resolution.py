@@ -1,10 +1,12 @@
 """SLD engine tests: answers, order, bounds, tracing, variant pruning."""
 
+import sys
+
 import pytest
 
 from repro.lang import parse_clause, parse_query
 from repro.lp import Clause, Database, SLDEngine, solve, solve_iterative_deepening
-from repro.terms import Var, atom, pretty, struct
+from repro.terms import Var, atom, pretty, struct, variables_of
 
 
 def clauses(*texts):
@@ -174,4 +176,46 @@ def test_occurs_check_toggle():
     engine_safe = SLDEngine(db, occurs_check=True)
     assert not list(engine_safe.solve(goals(":- eq(X, f(X))."), depth_limit=4))
     engine_fast = SLDEngine(db, occurs_check=False)
-    assert list(engine_fast.solve(goals(":- eq(X, f(X))."), depth_limit=4))
+    answers = list(engine_fast.solve(goals(":- eq(X, f(X))."), depth_limit=4))
+    assert [repr(answer) for answer in answers] == ["{X -> f(X)}"]
+
+
+def test_step_hook_sees_the_goal_side_mgu_and_shared_tail_goals():
+    db = Database(APPEND + clauses("q(Z)."))
+    seen = []
+    engine = SLDEngine(db, on_step=lambda note, clause, mgu, goals: seen.append((mgu, goals)))
+    query = goals(":- app(cons(a,nil), nil, R), q(Z), q(a).")
+    (answer,) = engine.solve(query)
+    assert answer.apply(Var("R")) == nat_list("a")
+    parents = [query] + [resolvent for _, resolvent in seen[:-1]]
+    for (mgu, resolvent), parent in zip(seen, parents):
+        parent_vars = set().union(*(variables_of(goal) for goal in parent))
+        assert mgu.domain <= parent_vars  # never the clause's variables
+    first_mgu, first_resolvent = seen[0]
+    assert first_mgu.domain == {Var("R")}
+    assert first_resolvent[1] is query[1] and first_resolvent[2] is query[2]
+
+
+PLUS = clauses("plus(0, N, N).", "plus(succ(M), N, succ(K)) :- plus(M, N, K).")
+
+
+def peano(n):
+    term = atom("0")
+    for _ in range(n):
+        term = struct("succ", term)
+    return term
+
+
+def test_deep_answer_under_the_default_recursion_limit():
+    # The answer R = succ^5000(0) is bound one layer per step; reading it
+    # off the derivation must not recurse once per layer.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        engine = SLDEngine(Database(PLUS))
+        answers = list(engine.solve([struct("plus", peano(5000), atom("0"), Var("R"))]))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(answers) == 1
+    assert answers[0].apply(Var("R")) == peano(5000)
+    assert engine.stats.steps == 5001
