@@ -8,8 +8,8 @@ module measures the three legs — compilation, membership, match — in the
 *fresh-object-per-query* shape ``summary.py`` times (every engine and
 matcher attaches to the process-wide store, so only the first query per
 scope pays the walk), and **asserts the automaton path is ≥3x faster
-than the ``AUTOMATA.set_enabled(False)`` template-expansion path** on
-both workloads.
+than the template-expansion path** (engines and matchers built with
+``automata=False``) on both workloads.
 
 Run standalone::
 
@@ -26,7 +26,7 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.automata import AUTOMATA, AutomataStore
+from repro.core.automata import AutomataStore
 from repro.core.match import Matcher
 from repro.core.subtype import SubtypeEngine
 from repro.lang import parse_term as T
@@ -63,24 +63,30 @@ def _best_per_op(thunk: Callable[[], None], iterations: int) -> float:
     return best / iterations
 
 
-def _member_per_op(iterations: int) -> float:
+def _member_per_op(iterations: int, automata: bool = True) -> float:
     """Fresh engine per query, ``succ^256(0) ∈ nat`` — summary.py's E1 shape."""
     cset = paper_universe()
     nat = T("nat")
     term = deep_nat(NAT_DEPTH)
-    assert SubtypeEngine(cset).contains(nat, term) is True  # warm-up
+    assert SubtypeEngine(cset, automata=automata).contains(nat, term) is True  # warm-up
     return _best_per_op(
-        lambda: SubtypeEngine(cset).contains(nat, deep_nat(NAT_DEPTH)), iterations
+        lambda: SubtypeEngine(cset, automata=automata).contains(
+            nat, deep_nat(NAT_DEPTH)
+        ),
+        iterations,
     )
 
 
-def _match_per_op(iterations: int) -> float:
+def _match_per_op(iterations: int, automata: bool = True) -> float:
     """Fresh matcher per query, ``match(list(nat), 64-element list)``."""
     cset = paper_universe()
     list_nat = T("list(nat)")
-    Matcher(cset).match(list_nat, nat_list(LIST_LENGTH))  # warm-up
+    Matcher(cset, automata=automata).match(list_nat, nat_list(LIST_LENGTH))  # warm-up
     return _best_per_op(
-        lambda: Matcher(cset).match(list_nat, nat_list(LIST_LENGTH)), iterations
+        lambda: Matcher(cset, automata=automata).match(
+            list_nat, nat_list(LIST_LENGTH)
+        ),
+        iterations,
     )
 
 
@@ -113,12 +119,8 @@ def automata_measurements(
     enabled_member = _member_per_op(fast_iterations)
     enabled_match = _match_per_op(fast_iterations)
 
-    previous = AUTOMATA.set_enabled(False)
-    try:
-        fallback_member = _member_per_op(slow_iterations)
-        fallback_match = _match_per_op(slow_iterations)
-    finally:
-        AUTOMATA.set_enabled(previous)
+    fallback_member = _member_per_op(slow_iterations, automata=False)
+    fallback_match = _match_per_op(slow_iterations, automata=False)
 
     member_speedup = fallback_member / enabled_member if enabled_member else float("inf")
     match_speedup = fallback_match / enabled_match if enabled_match else float("inf")

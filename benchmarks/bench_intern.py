@@ -3,15 +3,13 @@
 The hash-consing layer's pitch is that *re-queries* get cheap: once a
 deep ground goal has been derived, asking again — even with the term
 rebuilt from scratch, as batch traffic does — costs an intern-table walk
-plus one identity-keyed memo probe, instead of the seed path's eager
-re-hash plus a structural deep-compare on the probe.  This module
-measures exactly that and **asserts the interned warm path is ≥2x faster
-than the ``set_interning(False)`` seed path** on the deep-term workload.
+plus one identity-keyed memo probe.  I1 measures that warm re-query;
+``check_regression.py`` holds its row to the committed baseline.
 
-Two more scenarios track the cross-engine story: fresh engines attached
-to the process-wide shared memo (the batch service's shape — every
-engine after the first starts warm) vs. fresh cold engines per query
-(the seed shape).
+I2 tracks the cross-engine story: fresh engines attached to the
+process-wide shared memo (the batch service's shape — every engine after
+the first starts warm) vs. fresh cold engines per query (the seed
+shape).
 
 Run standalone::
 
@@ -32,13 +30,10 @@ from repro.core.recursion import ensure_recursion_capacity
 from repro.core.shared_memo import SharedSubtypeMemo
 from repro.core.subtype import SubtypeEngine
 from repro.lang import parse_term as T
-from repro.terms.term import clear_intern_table, intern_stats, set_interning
+from repro.terms.term import clear_intern_table, intern_stats
 from repro.workloads import deep_nat, paper_universe
 
 Row = Tuple[str, str]
-
-#: Hard floor for the warm-path win (the PR's acceptance bar).
-REQUIRED_SPEEDUP = 2.0
 
 ROUNDS = 5
 
@@ -62,25 +57,20 @@ def _best_per_op(thunk: Callable[[], None], iterations: int) -> float:
     return best / iterations
 
 
-def _warm_requery(interned: bool, depth: int, iterations: int) -> float:
+def _warm_requery(depth: int, iterations: int) -> float:
     """Seconds per warm ground re-query with the tower rebuilt every time.
 
     One engine, memo warmed once; each iteration rebuilds ``succ^depth(0)``
     from scratch and re-asks ``nat ⪰ tower`` — the shape batch traffic
     produces when many files mention the same deep terms.
     """
-    previous = set_interning(interned)
-    try:
-        clear_intern_table()
-        engine = SubtypeEngine(paper_universe())
-        nat = T("nat")
-        keep = deep_nat(depth)  # pins the interned nodes (weak table)
-        # The seed path's memo probe structurally deep-compares the key.
-        ensure_recursion_capacity(keep)
-        assert engine.contains(nat, keep) is True
-        return _best_per_op(lambda: engine.contains(nat, deep_nat(depth)), iterations)
-    finally:
-        set_interning(previous)
+    clear_intern_table()
+    engine = SubtypeEngine(paper_universe())
+    nat = T("nat")
+    keep = deep_nat(depth)  # pins the interned nodes (weak table)
+    ensure_recursion_capacity(keep)
+    assert engine.contains(nat, keep) is True
+    return _best_per_op(lambda: engine.contains(nat, deep_nat(depth)), iterations)
 
 
 def _fresh_engines(shared: bool, depth: int, engines: int) -> float:
@@ -118,16 +108,8 @@ def intern_measurements(quick: bool = False) -> Tuple[List[Row], List[Dict[str, 
     iterations = 20 if quick else 50
     engines = 10 if quick else 25
 
-    warm_interned = _warm_requery(True, depth, iterations)
+    warm_interned = _warm_requery(depth, iterations)
     interned_traffic = intern_stats()
-    warm_plain = _warm_requery(False, depth, iterations)
-    speedup = warm_plain / warm_interned if warm_interned else float("inf")
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"interned warm re-query only {speedup:.2f}x faster than the "
-        f"interning-off seed path (interned {fmt(warm_interned)}, "
-        f"plain {fmt(warm_plain)}); the term kernel's ≥{REQUIRED_SPEEDUP:.0f}x "
-        f"contract is broken"
-    )
 
     shared_per_engine = _fresh_engines(True, depth, engines)
     cold_per_engine = _fresh_engines(False, depth, engines)
@@ -139,10 +121,6 @@ def intern_measurements(quick: bool = False) -> Tuple[List[Row], List[Dict[str, 
         (
             f"I1 warm ground re-query, succ^{depth}(0), interned",
             f"{fmt(warm_interned)} (table hit rate {interned_traffic.hit_rate:.0%})",
-        ),
-        (
-            f"I1 warm ground re-query, succ^{depth}(0), interning off",
-            f"{fmt(warm_plain)} (interned {speedup:.1f}x faster)",
         ),
         (
             f"I2 fresh engines on a shared memo, succ^{depth}(0)",
@@ -158,11 +136,6 @@ def intern_measurements(quick: bool = False) -> Tuple[List[Row], List[Dict[str, 
             "id": "intern.warm_requery.interned",
             "label": f"warm ground re-query, succ^{depth}(0), interned",
             "ns_per_op": warm_interned * 1e9,
-        },
-        {
-            "id": "intern.warm_requery.no_intern",
-            "label": f"warm ground re-query, succ^{depth}(0), interning off",
-            "ns_per_op": warm_plain * 1e9,
         },
         {
             "id": "intern.fresh_engines.shared_memo",

@@ -9,8 +9,8 @@ script with the *committed* baseline and the fresh measurement::
 A row regresses when ``current_ns > factor * baseline_ns`` for a
 measurement ``id`` present in both files.  The default factor is a
 deliberately loose 2x — CI runners are noisy shared machines; the gate
-exists to catch order-of-magnitude breakage (a dropped memo, an
-accidentally disabled intern table), not 10% drift.  Ids present in only
+exists to catch order-of-magnitude breakage (a dropped memo, a
+broken intern table), not 10% drift.  Ids present in only
 one file are reported but never fatal, so adding or retiring benchmarks
 doesn't break the gate.
 

@@ -308,7 +308,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 for row in MEASUREMENTS
             ],
             "intern": {
-                "enabled": stats.enabled,
                 "size": stats.size,
                 "hits": stats.hits,
                 "misses": stats.misses,

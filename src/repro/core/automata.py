@@ -45,8 +45,10 @@ closure explodes (possible even for guarded sets, e.g.
 ``t(A) >= f(t(g(A)))``) and types mentioning frozen constants (fresh per
 ``freeze``, they would churn the universe) are refused per root — the
 product construction then decides those pairs by the plain AND-OR walk,
-still memoized.  ``AUTOMATA.set_enabled(False)`` disables the store
-entirely, restoring the seed path bit-for-bit.
+still memoized.  The store has no off switch: an engine built with
+``automata=False`` (``SubtypeEngine``, ``Matcher``, ``ConstraintMatcher``)
+never attaches and runs the template-expansion path, which is how the
+differential tests and ``benchmarks/bench_automata.py`` reach it.
 
 Sharing and persistence
 -----------------------
@@ -635,9 +637,8 @@ class AutomataStore:
     """Process-wide compiled automata, keyed by constraint-set fingerprint.
 
     Mirrors the :class:`~repro.core.shared_memo.SharedSubtypeMemo`
-    discipline: version fencing via :meth:`ensure_version`, an
-    ``enabled`` escape hatch (:meth:`set_enabled`),
-    and rejection caching — a non-uniform or unguarded fingerprint is
+    discipline: version fencing via :meth:`ensure_version` and
+    rejection caching — a non-uniform or unguarded fingerprint is
     remembered as ``None`` so repeated attachment attempts stay O(1).
     """
 
@@ -645,23 +646,12 @@ class AutomataStore:
         self._lock = threading.Lock()
         self._automata: Dict[str, Optional[TreeAutomaton]] = {}
         self._version: Optional[str] = None
-        self.enabled = True
         self.compiles = 0
         self.rejections = 0
         self.attachments = 0
         self.invalidations = 0
         self.spills = 0
         self.loads = 0
-
-    def set_enabled(self, on: bool) -> bool:
-        """Enable/disable the store; returns the previous setting.
-
-        Disabling affects future :meth:`automaton_for` calls only —
-        engines already holding an automaton keep it (compilation is a
-        performance property, never a semantic one)."""
-        previous = self.enabled
-        self.enabled = bool(on)
-        return previous
 
     def ensure_version(self, tag: str) -> None:
         """Fence the store on ``tag``; a changed tag drops every automaton."""
@@ -675,10 +665,8 @@ class AutomataStore:
     def automaton_for(self, constraints: ConstraintSet) -> Optional[TreeAutomaton]:
         """The compiled automaton for ``constraints``' declaration scope.
 
-        ``None`` when the store is disabled or the set is non-uniform /
-        unguarded (callers fall back to the template-expansion path)."""
-        if not self.enabled:
-            return None
+        ``None`` when the set is non-uniform / unguarded (callers fall
+        back to the template-expansion path)."""
         key = constraints.fingerprint()
         with self._lock:
             if key in self._automata:
@@ -729,7 +717,6 @@ class AutomataStore:
             automata = [a for a in self._automata.values() if a is not None]
             per = [a.stats() for a in automata]
             return {
-                "enabled": int(self.enabled),
                 "scopes": len(automata),
                 "rejected_scopes": sum(
                     1 for a in self._automata.values() if a is None
@@ -761,8 +748,6 @@ class AutomataStore:
         Best-effort and atomic (tmp file + rename): a failed spill never
         corrupts an existing one and never fails the surrounding batch.
         Returns the spill path, or ``None`` when nothing was written."""
-        if not self.enabled:
-            return None
         with self._lock:
             compiled = {
                 key: automaton
@@ -797,8 +782,6 @@ class AutomataStore:
         as the result cache ignores entries from an older checker.
         Corrupt files are ignored too: the spill is a warm-start, never a
         correctness dependency."""
-        if not self.enabled:
-            return 0
         path = os.path.join(str(directory), SPILL_FILENAME)
         try:
             with open(path, "rb") as handle:

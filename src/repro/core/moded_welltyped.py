@@ -51,9 +51,7 @@ from ..lp.clause import Clause, Program, Query
 from ..terms.pretty import pretty
 from ..terms.substitution import Substitution
 from ..terms.term import Struct, Term, Var, fresh_variable, variables_of
-from .constraint_match import ConstraintMatcher
 from .declarations import ConstraintSet, DeclarationError
-from .infer import CommonTypeInference
 from .match import MATCH_BOTTOM, MATCH_FAIL
 from .modes import UNPRODUCED, ModeChecker, ModeEnv, ModeViolation
 from .predicate_types import PredicateTypeEnv
@@ -132,7 +130,6 @@ class ModedWellTypedChecker:
         # TLP5xx rules reuse this instance.
         self.mode_checker = ModeChecker(constraints, predicate_types, modes, engine=self.engine)
         self.constraint_matcher = self.strict.constraint_matcher
-        self.inference = CommonTypeInference(constraints, self.constraint_matcher)
 
     # -- public API ---------------------------------------------------------------
 
@@ -236,9 +233,13 @@ class ModedWellTypedChecker:
                 atom_position_types.append(pos_type)
             position_types.append(atom_position_types)
 
-        solution = self._solve_commitments(equations, covers, rigid)
+        # The strict checker's steps 3/3b without the agreement equations.
+        solution = self.strict._solve(equations, rigid)
         if solution is None:
             return rejected("type-variable commitment constraints are unsolvable")
+        solution, failure = self.strict._resolve_covers(covers, solution, rigid)
+        if failure is not None:
+            return rejected(failure)
 
         # Condition 2: the dataflow pass over the committed position types.
         moded = [
@@ -257,40 +258,3 @@ class ModedWellTypedChecker:
         if violation is not None:
             return rejected(_flow_reason(violation))
         return ModedClauseReport(True, via="directional", strict_report=strict_report)
-
-    # -- helpers -------------------------------------------------------------------------
-
-    def _solve_commitments(
-        self,
-        equations: List[Tuple[Var, Term]],
-        covers: List[Tuple[Var, Term]],
-        rigid: Set[Var],
-    ) -> Optional[Substitution]:
-        """Shape equations by unification, cover constraints by common-type
-        inference — the strict checker's steps 3/3b without the agreement
-        equations."""
-        from ..terms.unify import unify
-
-        current = Substitution()
-        for left, right in equations:
-            theta = unify(current.apply(left), current.apply(right))
-            if theta is None:
-                return None
-            current = current.compose(theta)
-        groups: Dict[Var, List[Term]] = {}
-        for var, term in covers:
-            representative = current.apply(var)
-            if isinstance(representative, Var):
-                if representative in rigid:
-                    return None
-                groups.setdefault(representative, []).append(term)
-            else:
-                # Bound: verified implicitly by the flow conditions.
-                continue
-        inferred: Dict[Var, Term] = {}
-        for var, terms in groups.items():
-            candidate = self.inference.infer(terms)
-            if candidate is None:
-                return None
-            inferred[var] = candidate
-        return current.compose(Substitution(inferred))

@@ -31,9 +31,9 @@ Keying and safety
   table that outgrew the cap is dropped and restarted cold (counted in
   ``evictions``), bounding daemon memory.
 
-Escape hatch: ``SHARED_MEMO.set_enabled(False)`` disables sharing —
-``table_for`` returns ``None`` and every engine keeps its own cold memo,
-which is the seed behaviour.
+The store has no off switch.  An engine built without ``shared_memo=``
+does not attach and keeps its own cold memo; the differential tests and
+the benchmarks pick that reference path per engine.
 """
 
 from __future__ import annotations
@@ -62,21 +62,9 @@ class SharedSubtypeMemo:
         self._tables: Dict[str, Dict[Tuple[Term, Term], bool]] = {}
         self._version: Optional[str] = None
         self.max_entries_per_scope = max_entries_per_scope
-        self.enabled = True
         self.attachments = 0
         self.evictions = 0
         self.invalidations = 0
-
-    def set_enabled(self, on: bool) -> bool:
-        """Enable/disable sharing; returns the previous setting.
-
-        Disabling affects future :meth:`table_for` calls only — engines
-        already holding a table keep it (their entries stay correct;
-        sharing is a performance property, not a semantic one).
-        """
-        previous = self.enabled
-        self.enabled = bool(on)
-        return previous
 
     def ensure_version(self, tag: str) -> None:
         """Fence the store on ``tag``; a changed tag drops every table.
@@ -101,15 +89,12 @@ class SharedSubtypeMemo:
 
     def table_for(
         self, constraints: ConstraintSet
-    ) -> Optional[Dict[Tuple[Term, Term], bool]]:
+    ) -> Dict[Tuple[Term, Term], bool]:
         """The shared memo table for ``constraints``' declaration scope.
 
-        Returns ``None`` when sharing is disabled (the engine then keeps
-        its own private memo).  The table is returned by reference — the
-        engine plugs it in as its ``_memo`` and reads/writes it directly.
+        The table is returned by reference — the engine plugs it in as
+        its ``_memo`` and reads/writes it directly.
         """
-        if not self.enabled:
-            return None
         key = constraints.fingerprint()
         with self._lock:
             table = self._tables.get(key)
@@ -134,7 +119,6 @@ class SharedSubtypeMemo:
         """A snapshot: scope count, total entries, attach/evict traffic."""
         with self._lock:
             return {
-                "enabled": int(self.enabled),
                 "scopes": len(self._tables),
                 "entries": sum(len(t) for t in self._tables.values()),
                 "attachments": self.attachments,

@@ -34,9 +34,9 @@ Ground goals additionally ride the compiled tree automaton of
 and guarded; the process-wide ``AUTOMATA`` store compiles once per
 fingerprint): membership and ground-subtype queries become table walks
 over interned node ids, with this module's AND-OR evaluation as the
-automatic fallback (store disabled / non-uniform sets / refused
-roots).  Verdicts are identical by construction and pinned by the
-differential suite.
+automatic fallback (non-uniform or unguarded sets, refused roots,
+engines built with ``automata=False``).  Verdicts are identical by
+construction and pinned by the differential suite.
 
 Observability: every public ``holds`` query is mirrored into
 ``repro.obs`` when telemetry is enabled — a ``subtype.goals`` counter,
@@ -79,7 +79,7 @@ class SubtypeStats:
     #: ground goals answered by the compiled tree automaton.
     automaton_hits: int = 0
     #: ground goals that wanted the automaton but fell back to the
-    #: AND-OR walk (store disabled mid-flight, non-uniform set, ...).
+    #: AND-OR walk (non-uniform or unguarded set, ...).
     automaton_fallbacks: int = 0
 
 
@@ -116,11 +116,11 @@ class SubtypeEngine:
         self._bindings: Dict[Var, Term] = {}
         self._trail: List[Var] = []
         #: Compiled tree automaton for ground goals (None for non-uniform
-        #: or unguarded sets, or when the store/flag disables it).  The
+        #: or unguarded sets, or when built with ``automata=False``).  The
         #: ``_automaton_requested`` flag distinguishes "opted out" from
         #: "wanted one but none exists" so the fallback counter is exact.
         self._automaton = AUTOMATA.automaton_for(constraints) if automata else None
-        self._automaton_requested = automata and AUTOMATA.enabled
+        self._automaton_requested = automata
 
     # -- public queries ------------------------------------------------------
 

@@ -227,6 +227,7 @@ class WellTypedChecker:
         self.predicate_types = predicate_types
         self.matcher = Matcher(constraints)
         self.constraint_matcher = ConstraintMatcher(constraints, validate=False)
+        self.inference = CommonTypeInference(constraints, self.constraint_matcher)
 
     # -- public API -------------------------------------------------------------
 
@@ -354,7 +355,8 @@ class WellTypedChecker:
         # still free after unification but required to cover ground terms
         # gets a common type inferred (name-based union, see
         # ``repro.core.infer``); an already-bound one is verified.
-        solution, failure = self._resolve_covers(report, solution, rigid)
+        covers = [cover for check in report.atom_checks for cover in check.covers]
+        solution, failure = self._resolve_covers(covers, solution, rigid)
         if failure is not None:
             report.reason = failure
             return report
@@ -461,7 +463,7 @@ class WellTypedChecker:
 
     def _resolve_covers(
         self,
-        report: ClauseReport,
+        covers: Sequence[CoverConstraint],
         solution: Substitution,
         rigid: Set[Var],
     ) -> Tuple[Substitution, Optional[str]]:
@@ -470,16 +472,13 @@ class WellTypedChecker:
         Returns the (possibly extended) solution and an error message, or
         ``None`` on success.
         """
-        all_covers: List[CoverConstraint] = []
-        for check in report.atom_checks:
-            all_covers.extend(check.covers)
-        if not all_covers:
+        if not covers:
             return solution, None
         # Group the covered terms by the representative of each variable
         # under the current solution.
         free_groups: Dict[Var, List[Term]] = {}
         bound_targets: List[Tuple[Term, Term]] = []
-        for var, term in all_covers:
+        for var, term in covers:
             representative = solution.apply(var)
             if isinstance(representative, Var):
                 if representative in rigid:
@@ -491,10 +490,9 @@ class WellTypedChecker:
             else:
                 bound_targets.append((representative, term))
         if free_groups:
-            inference = CommonTypeInference(self.constraints, self.constraint_matcher)
             inferred_bindings: Dict[Var, Term] = {}
             for var, terms in free_groups.items():
-                inferred = inference.infer(terms)
+                inferred = self.inference.infer(terms)
                 if inferred is None:
                     listing = ", ".join(pretty(t) for t in terms)
                     return solution, (

@@ -160,13 +160,11 @@ def publish_runtime_gauges() -> None:
     from ..terms.term import intern_stats
 
     interned = intern_stats()
-    METRICS.gauge("intern.enabled", int(interned.enabled))
     METRICS.gauge("intern.size", interned.size)
     METRICS.gauge("intern.hits", interned.hits)
     METRICS.gauge("intern.misses", interned.misses)
     METRICS.gauge("intern.hit_rate", round(interned.hit_rate, 4))
     memo = SHARED_MEMO.stats()
-    METRICS.gauge("subtype.shared_memo.enabled", memo["enabled"])
     METRICS.gauge("subtype.shared_memo.scopes", memo["scopes"])
     METRICS.gauge("subtype.shared_memo.size", memo["entries"])
     METRICS.gauge("subtype.shared_memo.attachments", memo["attachments"])
@@ -174,7 +172,6 @@ def publish_runtime_gauges() -> None:
     from ..core.automata import AUTOMATA
 
     automata = AUTOMATA.stats()
-    METRICS.gauge("subtype.automaton.enabled", automata["enabled"])
     METRICS.gauge("subtype.automaton.scopes", automata["scopes"])
     METRICS.gauge("subtype.automaton.states", automata["states"])
     METRICS.gauge("subtype.automaton.transitions", automata["transitions"])
@@ -196,42 +193,33 @@ def runtime_stats_lines() -> "list[str]":
     from ..terms.term import intern_stats
 
     interned = intern_stats()
-    if interned.enabled:
-        intern_line = (
-            f"intern table: {interned.size} nodes "
-            f"({interned.structs} structs, {interned.vars} vars), "
-            f"hit rate {interned.hit_rate:.1%}"
-        )
-    else:
-        intern_line = "intern table: disabled"
+    intern_line = (
+        f"intern table: {interned.size} nodes "
+        f"({interned.structs} structs, {interned.vars} vars), "
+        f"hit rate {interned.hit_rate:.1%}"
+    )
     memo = SHARED_MEMO.stats()
-    if memo["enabled"]:
-        hits = METRICS.counter("subtype.shared_memo.hits")
-        entries = METRICS.counter("subtype.shared_memo.entries")
-        probes = hits + entries
-        rate = f", hit rate {hits / probes:.1%}" if probes else ""
-        memo_line = (
-            f"shared subtype memo: {memo['entries']} entries across "
-            f"{memo['scopes']} scope(s), {memo['attachments']} engine "
-            f"attachment(s){rate}"
-        )
-    else:
-        memo_line = "shared subtype memo: disabled"
+    hits = METRICS.counter("subtype.shared_memo.hits")
+    entries = METRICS.counter("subtype.shared_memo.entries")
+    probes = hits + entries
+    rate = f", hit rate {hits / probes:.1%}" if probes else ""
+    memo_line = (
+        f"shared subtype memo: {memo['entries']} entries across "
+        f"{memo['scopes']} scope(s), {memo['attachments']} engine "
+        f"attachment(s){rate}"
+    )
     from ..core.automata import AUTOMATA
 
     automata = AUTOMATA.stats()
-    if automata["enabled"]:
-        hits = METRICS.counter("subtype.automaton.hits")
-        fallbacks = METRICS.counter("subtype.automaton.fallbacks")
-        queries = hits + fallbacks
-        rate = f", hit rate {hits / queries:.1%}" if queries else ""
-        automata_line = (
-            f"tree automata: {automata['scopes']} compiled scope(s), "
-            f"{automata['states']} state(s), {automata['transitions']} "
-            f"transition(s), {automata['attachments']} attachment(s){rate}"
-        )
-    else:
-        automata_line = "tree automata: disabled"
+    hits = METRICS.counter("subtype.automaton.hits")
+    fallbacks = METRICS.counter("subtype.automaton.fallbacks")
+    queries = hits + fallbacks
+    rate = f", hit rate {hits / queries:.1%}" if queries else ""
+    automata_line = (
+        f"tree automata: {automata['scopes']} compiled scope(s), "
+        f"{automata['states']} state(s), {automata['transitions']} "
+        f"transition(s), {automata['attachments']} attachment(s){rate}"
+    )
     return [intern_line, memo_line, automata_line]
 
 

@@ -513,7 +513,6 @@ class CheckService:
         from ..core.automata import AUTOMATA
 
         automata = AUTOMATA.stats()
-        gauges["subtype.automaton.enabled"] = automata["enabled"]
         gauges["subtype.automaton.scopes"] = automata["scopes"]
         gauges["subtype.automaton.states"] = automata["states"]
         gauges["subtype.automaton.transitions"] = automata["transitions"]

@@ -30,9 +30,10 @@ before ever calling ``__eq__``, and ``__eq__`` itself starts with an
 ``is`` check.  Per-node derived results (the hash, the groundness flag,
 the variable set, short pretty-printings) are computed once per
 canonical node instead of once per structurally-equal copy.  Interning
-can be switched off with ``set_interning(False)`` to recover the seed
-representation for differential testing; terms built under either
-setting compare and hash identically, so the two populations mix freely.
+is not a setting: every term is canonical when built.  ``__eq__`` still
+falls back to a structural comparison, because after
+:func:`clear_intern_table` a node built earlier and a node built later
+for the same term can both be alive; they compare and hash equal.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ __all__ = [
     "symbols_of",
     "functors_of",
     "InternStats",
-    "interning_enabled",
-    "set_interning",
     "intern_stats",
     "clear_intern_table",
 ]
@@ -71,12 +70,9 @@ __all__ = [
 class InternStats:
     """A point-in-time snapshot of the intern table's traffic and size."""
 
-    __slots__ = ("enabled", "structs", "vars", "hits", "misses")
+    __slots__ = ("structs", "vars", "hits", "misses")
 
-    def __init__(
-        self, enabled: bool, structs: int, vars: int, hits: int, misses: int
-    ) -> None:
-        self.enabled = enabled
+    def __init__(self, structs: int, vars: int, hits: int, misses: int) -> None:
         self.structs = structs
         self.vars = vars
         self.hits = hits
@@ -94,7 +90,7 @@ class InternStats:
 
     def __repr__(self) -> str:
         return (
-            f"InternStats(enabled={self.enabled}, structs={self.structs}, "
+            f"InternStats(structs={self.structs}, "
             f"vars={self.vars}, hits={self.hits}, misses={self.misses})"
         )
 
@@ -110,7 +106,7 @@ class _InternTable:
     service's thread pools.
     """
 
-    __slots__ = ("lock", "structs", "vars", "hits", "misses", "enabled")
+    __slots__ = ("lock", "structs", "vars", "hits", "misses")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
@@ -118,7 +114,6 @@ class _InternTable:
         self.vars: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
         self.hits = 0
         self.misses = 0
-        self.enabled = True
 
     def clear(self) -> None:
         with self.lock:
@@ -131,30 +126,10 @@ class _InternTable:
 _INTERN = _InternTable()
 
 
-def interning_enabled() -> bool:
-    """True iff term construction currently routes through the intern table."""
-    return _INTERN.enabled
-
-
-def set_interning(on: bool) -> bool:
-    """Enable/disable hash-consing; returns the previous setting.
-
-    Disabling only affects *future* constructions: already-interned terms
-    stay canonical (and keep comparing by identity first), terms built
-    while disabled are ordinary unshared objects.  The two populations
-    compare and hash identically, so toggling mid-run is always safe —
-    it is a performance switch, never a semantic one.
-    """
-    previous = _INTERN.enabled
-    _INTERN.enabled = bool(on)
-    return previous
-
-
 def intern_stats() -> InternStats:
     """Current intern-table statistics (size, hit/miss traffic)."""
     with _INTERN.lock:
         return InternStats(
-            enabled=_INTERN.enabled,
             structs=len(_INTERN.structs),
             vars=len(_INTERN.vars),
             hits=_INTERN.hits,
@@ -165,9 +140,10 @@ def intern_stats() -> InternStats:
 def clear_intern_table() -> None:
     """Drop every canonical node and zero the traffic counters.
 
-    Existing terms are unaffected (they simply stop being the canonical
-    representative for new constructions).  Mainly for tests and for
-    long-lived daemons that want a clean measurement window.
+    Existing terms are unaffected: they stop being the canonical
+    representative for new constructions, and still compare and hash
+    equal to the new nodes built for the same term.  Mainly for tests
+    and for long-lived daemons that want a clean measurement window.
     """
     _INTERN.clear()
 
@@ -176,7 +152,7 @@ class Var:
     """A logical variable.
 
     Variables are compared by name: two ``Var("X")`` objects are the same
-    variable — and, with interning on, the same *object*.  Scoping
+    variable — and, through the intern table, the same *object*.  Scoping
     (keeping the variables of two clauses apart) is the caller's job and
     is normally done with :func:`rename_apart`.
     """
@@ -185,22 +161,17 @@ class Var:
 
     def __new__(cls, name: str) -> "Var":
         table = _INTERN
-        if table.enabled and cls is Var:
-            with table.lock:
-                existing = table.vars.get(name)
-                if existing is not None:
-                    table.hits += 1
-                    return existing
-                table.misses += 1
-                self = object.__new__(cls)
-                self.name = name
-                self._hash = hash((name,))
-                table.vars[name] = self
-                return self
-        self = object.__new__(cls)
-        self.name = name
-        self._hash = hash((name,))
-        return self
+        with table.lock:
+            existing = table.vars.get(name)
+            if existing is not None:
+                table.hits += 1
+                return existing
+            table.misses += 1
+            self = object.__new__(cls)
+            self.name = name
+            self._hash = hash((name,))
+            table.vars[name] = self
+            return self
 
     def __setattr__(self, attr: str, value: object) -> None:
         if attr in ("name", "_hash") and not hasattr(self, "_hash"):
@@ -236,9 +207,9 @@ class Struct:
     computed once per canonical node: terms are used heavily as
     dictionary keys in the subtype engine's memo tables, the engine asks
     "is this ground?" at every step, and every matcher entry point asks
-    how deep its operands are — all three must be O(1).  With interning on, constructing a term
-    that already exists returns the existing node without recomputing
-    anything.
+    how deep its operands are — all three must be O(1).  Constructing a
+    term that already exists returns the existing node without
+    recomputing anything.
     """
 
     __slots__ = (
@@ -247,21 +218,17 @@ class Struct:
 
     def __new__(cls, functor: str, args: Tuple["Term", ...] = ()) -> "Struct":
         table = _INTERN
-        if table.enabled and cls is Struct:
-            key = (functor, args)
-            with table.lock:
-                existing = table.structs.get(key)
-                if existing is not None:
-                    table.hits += 1
-                    return existing
-                table.misses += 1
-                self = object.__new__(cls)
-                _init_struct(self, functor, args, hash(key))
-                table.structs[key] = self
-                return self
-        self = object.__new__(cls)
-        _init_struct(self, functor, args, hash((functor, args)))
-        return self
+        key = (functor, args)
+        with table.lock:
+            existing = table.structs.get(key)
+            if existing is not None:
+                table.hits += 1
+                return existing
+            table.misses += 1
+            self = object.__new__(cls)
+            _init_struct(self, functor, args, hash(key))
+            table.structs[key] = self
+            return self
 
     def __setattr__(self, attr: str, value: object) -> None:
         # The two derived-result caches stay writable (idempotent lazy
@@ -310,7 +277,7 @@ class Struct:
 
 
 def _init_struct(self: Struct, functor: str, args: Tuple["Term", ...], hashed: int) -> None:
-    """Populate a freshly allocated struct (both intern paths share this)."""
+    """Populate a freshly allocated struct."""
     object.__setattr__(self, "functor", functor)
     object.__setattr__(self, "args", args)
     object.__setattr__(self, "_hash", hashed)

@@ -1,10 +1,11 @@
 """The fast paths change speed, never verdicts.
 
-Interning, the shared subtype memo and the compiled tree automata can
-each be switched off through their library setters, which restores the
-seed code path.  With each switch off, then on, ``check_text``
-diagnostics and ``lint_text`` findings over every bundled example
-program and lint-corpus file must be identical.
+The shared subtype memo and the compiled tree automata are each turned
+off for one block through the ``fast_path_off`` fixture, which makes
+every engine built in the block run the reference path.  With each fast
+path off, then on, ``check_text`` diagnostics and ``lint_text`` findings
+over every bundled example program and lint-corpus file must be
+identical.
 """
 
 import re
@@ -14,9 +15,6 @@ import pytest
 
 from repro.analysis import lint_text
 from repro.checker.frontend import check_text
-from repro.core.automata import AUTOMATA
-from repro.core.shared_memo import SHARED_MEMO
-from repro.terms.term import intern_stats, set_interning
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 FILES = sorted(
@@ -25,13 +23,6 @@ FILES = sorted(
 
 #: Fresh variables (``_G442``) are numbered by a process-wide counter.
 FRESH = re.compile(r"\b_[A-Z][A-Za-z]*\d+\b")
-
-#: switch → (setter returning the previous setting, getter)
-SWITCHES = {
-    "intern": (set_interning, lambda: intern_stats().enabled),
-    "shared_memo": (SHARED_MEMO.set_enabled, lambda: SHARED_MEMO.enabled),
-    "automata": (AUTOMATA.set_enabled, lambda: AUTOMATA.enabled),
-}
 
 
 def _canonical(rendered):
@@ -52,15 +43,10 @@ def _verdicts():
     return verdicts
 
 
-@pytest.mark.parametrize("switch", sorted(SWITCHES))
-def test_switch_off_keeps_check_and_lint_verdicts(switch):
+@pytest.mark.parametrize("switch", ["automata", "shared_memo"])
+def test_switch_off_keeps_check_and_lint_verdicts(switch, fast_path_off):
     assert len(FILES) >= 10
-    setter, enabled = SWITCHES[switch]
-    previous = setter(False)
-    try:
-        assert enabled() is False
+    with fast_path_off(switch) as asked:
         off = _verdicts()
-    finally:
-        setter(previous)
-    assert enabled() is True
+    assert asked
     assert _verdicts() == off

@@ -16,7 +16,7 @@ from repro.core import (
     NaiveSubtypeProver,
     SubtypeEngine,
 )
-from repro.core.automata import AUTOMATA, AutomataStore, TreeAutomaton
+from repro.core.automata import AutomataStore, TreeAutomaton
 from repro.lang import parse_term as T
 from repro.terms import Struct, Var
 from repro.terms.freeze import freeze
@@ -81,14 +81,6 @@ def test_nonuniform_set_rejected_and_cached(store):
     assert store.automaton_for(ids_nonuniform()) is None
     assert store.rejections == 1
     assert store.stats()["rejected_scopes"] == 1
-
-
-def test_disabled_store_returns_none(store):
-    previous = store.set_enabled(False)
-    assert previous is True
-    assert store.automaton_for(paper_universe()) is None
-    store.set_enabled(True)
-    assert store.automaton_for(paper_universe()) is not None
 
 
 def test_holds_matches_template_engine_on_paper_cases(store):
@@ -253,7 +245,7 @@ def test_uniform_engine_counts_one_hit_per_ground_root_query():
 
 def test_nonuniform_engine_counts_exact_fallbacks():
     engine = SubtypeEngine(ids_nonuniform(), validate=False)
-    assert engine._automaton is None and engine._automaton_requested is AUTOMATA.enabled
+    assert engine._automaton is None and engine._automaton_requested is True
     assert engine.holds(T("nat"), T("0")) is True
     assert engine.stats.automaton_hits == 0
     assert engine.stats.automaton_fallbacks == 1
@@ -264,18 +256,6 @@ def test_opted_out_engine_has_zero_automaton_counters():
     engine.holds(T("nat"), deep_nat(5))
     assert engine.stats.automaton_hits == 0
     assert engine.stats.automaton_fallbacks == 0
-
-
-def test_store_disabled_engine_matches_seed_counters():
-    previous = AUTOMATA.set_enabled(False)
-    try:
-        engine = SubtypeEngine(paper_universe())
-        assert engine._automaton is None and engine._automaton_requested is False
-        engine.holds(T("nat"), deep_nat(5))
-        assert engine.stats.automaton_hits == 0
-        assert engine.stats.automaton_fallbacks == 0
-    finally:
-        AUTOMATA.set_enabled(previous)
 
 
 def test_engine_verdicts_identical_with_and_without_automata():

@@ -147,18 +147,23 @@ def test_check_program(setting):
     assert all(report.well_typed for _, report in results)
 
 
-# -- _solve_commitments directly ---------------------------------------------
+# -- the commitment solver shared with the strict checker ----------------------
 
 
 def commitments(setting, equations=(), covers=(), rigid=()):
+    """Solve like the directional fallback: the strict checker's equation
+    solver, then its cover resolution; ``None`` when either fails."""
     from repro.lang import parse_term as T
     from repro.terms import Var
 
-    checker = checker_for(setting)
+    strict = checker_for(setting).strict
     to_pairs = lambda pairs: [(Var(n), T(t)) for n, t in pairs]
-    return checker._solve_commitments(
-        to_pairs(equations), to_pairs(covers), {Var(n) for n in rigid}
-    )
+    rigid_vars = {Var(n) for n in rigid}
+    solution = strict._solve(to_pairs(equations), rigid_vars)
+    if solution is None:
+        return None
+    solution, failure = strict._resolve_covers(to_pairs(covers), solution, rigid_vars)
+    return None if failure is not None else solution
 
 
 def test_solve_commitments_unifies_shape_equations(setting):
@@ -197,13 +202,30 @@ def test_solve_commitments_infers_a_common_cover_type(setting):
     assert engine.more_general(committed, T("int"))
 
 
-def test_solve_commitments_bound_cover_is_skipped(setting):
-    # An equation binds X first; the cover on the now-bound variable is
-    # checked by the flow conditions instead, so solving still succeeds.
+def test_solve_commitments_bound_cover_is_verified(setting):
+    # An equation binds X first; the cover on the now-bound variable must
+    # still hold — nothing in the flow conditions looks at a cover whose
+    # term has no variables, so solving itself rejects it.
     solution = commitments(
         setting, equations=[("X", "nat")], covers=[("X", "int")]
     )
-    assert solution is not None
+    assert solution is None
+
+
+def test_directional_fallback_rejects_a_ground_argument_outside_its_type():
+    # Strict Definition 16 rejects the query; the directional fallback
+    # must too, although no atom of the query carries a shared variable.
+    cset = paper_universe()
+    predicate_types = PredicateTypeEnv(cset)
+    predicate_types.declare(parse_atom("member(A, list(A))"))
+    predicate_types.declare(parse_atom("zero(nat)"))
+    modes = ModeEnv()
+    modes.declare("zero", [OUT])
+    checker = ModedWellTypedChecker(cset, predicate_types, modes)
+    report = checker.check_query(query(":- member(succ(Y), cons(nil, nil))."))
+    assert not report.well_typed
+    assert report.via == "directional"
+    assert "does not cover nil" in report.reason
 
 
 # -- the exact directional rejection text --------------------------------------

@@ -3,7 +3,7 @@
 Differential contract: attaching engines to one shared memo table must
 never change a verdict — only who pays for the derivation.  Plus the
 bookkeeping: per-scope keying by constraint-set fingerprint, version
-fencing, the eviction cap, and the escape hatch.
+fencing, the eviction cap, and the private memo of a plain engine.
 """
 
 import random
@@ -99,17 +99,6 @@ def test_entry_cap_restarts_the_scope_cold():
     fresh = memo.table_for(constraints)
     assert fresh is not table and fresh == {}
     assert memo.stats()["evictions"] == 1
-
-
-def test_escape_hatch_disables_sharing():
-    memo = SharedSubtypeMemo()
-    constraints = paper_universe()
-    assert memo.set_enabled(False) is True
-    assert memo.table_for(constraints) is None
-    engine = SubtypeEngine(constraints, validate=False, shared_memo=memo)
-    assert engine._memo_shared is False
-    engine.holds(parse_term("nat"), deep_nat(5))
-    assert memo.stats()["entries"] == 0, "disabled memo must stay empty"
 
 
 def test_plain_constructor_never_shares():

@@ -15,7 +15,6 @@ from repro.terms import (
     is_ground,
     occurs_in,
     rename_apart,
-    set_interning,
     struct,
     subterms,
     symbols_of,
@@ -125,13 +124,9 @@ def _height(term):
 
 
 @settings(max_examples=300)
-@given(_shapes, st.booleans())
-def test_cached_depth_equals_recursive_height(shape, interned):
-    previous = set_interning(interned)
-    try:
-        term = _build(shape)
-    finally:
-        set_interning(previous)
+@given(_shapes)
+def test_cached_depth_equals_recursive_height(shape):
+    term = _build(shape)
     assert term_depth(term) == _height(term)
     restored = pickle.loads(pickle.dumps(term))
     assert restored == term
