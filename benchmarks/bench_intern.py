@@ -9,7 +9,10 @@ plus one identity-keyed memo probe.  I1 measures that warm re-query;
 I2 tracks the cross-engine story: fresh engines attached to the
 process-wide shared memo (the batch service's shape — every engine after
 the first starts warm) vs. fresh cold engines per query (the seed
-shape).
+shape).  Both sides are built with ``automata=False``: an engine that
+attaches the compiled tree automaton answers the tower from the
+automaton's process-lifetime tables whether or not it shares a memo, so
+only the template-expansion path shows what the shared memo buys.
 
 Run standalone::
 
@@ -79,21 +82,26 @@ def _fresh_engines(shared: bool, depth: int, engines: int) -> float:
     ``shared=True`` attaches each engine to one shared memo (the batch
     service's per-file-engine shape: every engine after the first starts
     warm); ``shared=False`` is the seed shape — each engine derives the
-    whole tower from a cold memo.
+    whole tower from a cold memo.  Neither side attaches the automaton.
     """
     constraints = paper_universe()
     nat = T("nat")
     keep = deep_nat(depth)
     ensure_recursion_capacity(keep)
     memo = SharedSubtypeMemo() if shared else None
+
+    def fresh_engine() -> SubtypeEngine:
+        return SubtypeEngine(
+            constraints, validate=False, shared_memo=memo, automata=False
+        )
+
     if shared:
-        SubtypeEngine(constraints, validate=False, shared_memo=memo).contains(nat, keep)
+        fresh_engine().contains(nat, keep)
     best = float("inf")
     for _ in range(ROUNDS):
         start = time.perf_counter()
         for _ in range(engines):
-            engine = SubtypeEngine(constraints, validate=False, shared_memo=memo)
-            engine.contains(nat, keep)
+            fresh_engine().contains(nat, keep)
         best = min(best, time.perf_counter() - start)
     return best / engines
 

@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...core.declarations import ConstraintSet
 from ...core.subtype import SubtypeEngine
-from ...terms.freeze import freeze
 from ...terms.pretty import UNION_TYPE, pretty
 from ...terms.term import Struct, Term, Var, fresh_variable
 
@@ -60,6 +59,16 @@ MAX_MEMBERS = 8
 
 #: Depth bound applied by widening: subterms deeper than this become ⊤.
 WIDEN_DEPTH = 4
+
+#: The fixed variables of the fold tests: ``_SHARED`` stands for every
+#: variable of a member, ``_holes(n)`` are a candidate constructor's
+#: holes.  Fixed names make equal fold questions equal ``more_general``
+#: questions, which the engine then decides once.
+_SHARED = Var("_U")
+
+
+def _holes(arity: int) -> Tuple[Term, ...]:
+    return tuple(Var(f"_H{index}") for index in range(arity))
 
 
 def canonical(term: Term, stem: str = "_A") -> Term:
@@ -75,7 +84,7 @@ def canonical(term: Term, stem: str = "_A") -> Term:
                 renamed = Var(f"{stem}{len(mapping)}")
                 mapping[node] = renamed
             return renamed
-        if not node.args:
+        if node.ground:
             return node
         return Struct(node.functor, tuple(walk(arg) for arg in node.args))
 
@@ -96,7 +105,7 @@ def truncate_depth(term: Term, bound: int) -> Term:
 
 
 def _share_variables(term: Term) -> Term:
-    """Collapse all variables of ``term`` into one shared variable.
+    """Collapse all variables of ``term`` into the one variable ``_U``.
 
     Used by the fold test: checking ``c(H̄) >= member`` with the member's
     free variables frozen as *distinct* constants is too strong (a
@@ -105,12 +114,10 @@ def _share_variables(term: Term) -> Term:
     member" — the union argument in the module docstring then combines
     the per-member instantiations.
     """
-    shared = fresh_variable("_U")
-
     def walk(node: Term) -> Term:
         if isinstance(node, Var):
-            return shared
-        if not node.args:
+            return _SHARED
+        if node.ground:
             return node
         return Struct(node.functor, tuple(walk(arg) for arg in node.args))
 
@@ -200,27 +207,24 @@ class TypeDomain:
     # -- folding -------------------------------------------------------------
 
     def _covering_constructors(self, members: Sequence[Term]) -> List[Tuple[str, int]]:
-        frozen = [freeze(_share_variables(member)) for member in members]
+        shared = [_share_variables(member) for member in members]
         covering: List[Tuple[str, int]] = []
         for name, arity in self.constraints.symbols.type_constructors.items():
             if name == UNION_TYPE:
                 continue
-            if all(self._constructor_covers(name, arity, f) for f in frozen):
+            candidate = Struct(name, _holes(arity))
+            if all(self.engine.more_general(candidate, s) for s in shared):
                 covering.append((name, arity))
         return covering
 
-    def _constructor_covers(self, name: str, arity: int, frozen: Term) -> bool:
-        candidate = Struct(name, tuple(fresh_variable("_H") for _ in range(arity)))
-        return self.engine.holds(candidate, frozen)
-
     def _constructor_le(self, tighter: Tuple[str, int], looser: Tuple[str, int]) -> bool:
-        """``looser(H̄) ⪰ tighter(Ū̄)`` with the tighter side frozen —
+        """``looser(H̄) ⪰ tighter(U, …, U)`` with the tighter side frozen —
         the partial order used to pick a minimal covering constructor."""
         t_name, t_arity = tighter
-        probe = Struct(t_name, tuple(fresh_variable("_U") for _ in range(t_arity)))
         l_name, l_arity = looser
-        candidate = Struct(l_name, tuple(fresh_variable("_H") for _ in range(l_arity)))
-        return self.engine.holds(candidate, freeze(_share_variables(probe)))
+        return self.engine.more_general(
+            Struct(l_name, _holes(l_arity)), Struct(t_name, (_SHARED,) * t_arity)
+        )
 
     def fold(self, members: Sequence[Term]) -> Optional[Term]:
         """Generalize a member set to a single type term (None for ⊥).

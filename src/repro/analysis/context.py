@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..checker.diagnostics import DiagnosticBag, FixIt, Severity
 from ..core.declarations import ConstraintSet, DeclarationError, SubtypeConstraint, SymbolTable
 from ..core.restrictions import is_guarded, is_uniform_polymorphic
+from ..core.shared_memo import SHARED_MEMO
 from ..core.subtype import SubtypeEngine
 from ..lang.ast import (
     ClauseDecl,
@@ -198,7 +199,9 @@ class LintContext:
     def engine(self) -> Optional[SubtypeEngine]:
         """A deterministic subtype engine, or None when the constraint
         set is absent, non-uniform, or unguarded (the engine's
-        termination guarantee — Theorems 1-3 — needs both)."""
+        termination guarantee — Theorems 1-3 — needs both).  Like the
+        checker frontend's engine it attaches to the process-wide subtype
+        memo, so files over one declaration scope share verdicts."""
         if self._engine is None and not self._engine_failed:
             constraints = self.constraints
             if (
@@ -208,7 +211,9 @@ class LintContext:
             ):
                 self._engine_failed = True
                 return None
-            self._engine = SubtypeEngine(constraints, validate=False)
+            self._engine = SubtypeEngine(
+                constraints, validate=False, shared_memo=SHARED_MEMO
+            )
         return self._engine
 
     @property

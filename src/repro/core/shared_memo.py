@@ -18,10 +18,12 @@ Keying and safety
   cache's ``CHECKER_VERSION`` (and anything else that should fence the
   memo, e.g. a lint ruleset fingerprint), so bumping the checker version
   drops stale verdicts exactly as it drops stale cached results.
-* Entries are plain ``(supertype, subtype) -> bool`` verdicts — facts
-  about ``C``, independent of which engine derived them, so cross-engine
-  reuse cannot change any answer (the differential tests in
-  ``tests/core/test_shared_memo.py`` pin this).
+* Entries are plain ``(supertype, subtype) -> bool`` verdicts on ground
+  goals, plus tagged ``("more_general", general, specific) -> bool``
+  Definition 5 verdicts — facts about ``C``, independent of which engine
+  derived them, so cross-engine reuse cannot change any answer (the
+  differential tests in ``tests/core/test_shared_memo.py`` and
+  ``tests/core/test_more_general_memo.py`` pin this).
 * Thread pools share the process, hence the memo.  Engines read and
   write the table directly (no lock on the hot path); CPython dict
   operations are atomic, and because any engine would write the *same*
@@ -39,9 +41,8 @@ the benchmarks pick that reference path per engine.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from ..terms.term import Term
 from .declarations import ConstraintSet
 
 __all__ = ["SharedSubtypeMemo", "SHARED_MEMO"]
@@ -59,7 +60,7 @@ class SharedSubtypeMemo:
         self, max_entries_per_scope: int = DEFAULT_MAX_ENTRIES_PER_SCOPE
     ) -> None:
         self._lock = threading.Lock()
-        self._tables: Dict[str, Dict[Tuple[Term, Term], bool]] = {}
+        self._tables: Dict[str, Dict[tuple, bool]] = {}
         self._version: Optional[str] = None
         self.max_entries_per_scope = max_entries_per_scope
         self.attachments = 0
@@ -89,7 +90,7 @@ class SharedSubtypeMemo:
 
     def table_for(
         self, constraints: ConstraintSet
-    ) -> Dict[Tuple[Term, Term], bool]:
+    ) -> Dict[tuple, bool]:
         """The shared memo table for ``constraints``' declaration scope.
 
         The table is returned by reference — the engine plugs it in as

@@ -28,6 +28,11 @@ paper's ``match``, can miss solutions.  The differential tests against
 the naive prover pin down exactly the regime where both agree.
 
 Ground subgoals are memoised per engine (ablation A1 measures the effect).
+So are whole Definition 5 questions: :meth:`SubtypeEngine.more_general`
+freezes its specific side with constants numbered by first appearance
+(not fresh ones), so an equal question meets the same memo key, the same
+ground subgoals and the same automaton nodes.  Those constants never leave
+``more_general``, hence still appear in no type the engine is asked about.
 
 Ground goals additionally ride the compiled tree automaton of
 ``repro.core.automata`` when one exists for this constraint set (uniform
@@ -56,15 +61,34 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from ..obs import METRICS, TRACER, CacheProbeEvent, PhaseEvent, SubtypeGoalEvent
-from ..terms.freeze import freeze
+from ..terms.freeze import FROZEN_PREFIX, freeze
 from ..terms.pretty import pretty
-from ..terms.term import Struct, Term, Var
+from ..terms.term import Struct, Term, Var, map_variables
 from .automata import AUTOMATA
 from .declarations import ConstraintSet
 from .recursion import ensure_recursion_capacity
 from .restrictions import validate_restrictions
 
 __all__ = ["SubtypeStats", "SubtypeEngine"]
+
+#: Memo-key tag of a Definition 5 verdict: its key ``(tag, general,
+#: specific)`` is a triple, so it never equals a ``(τ, τ′)`` ground pair.
+_MORE_GENERAL = "more_general"
+
+
+def _freeze_canonically(term: Term) -> Term:
+    """``τ̄`` with the ``i``-th distinct variable frozen to ``'$frozen#i``.
+
+    Only :meth:`SubtypeEngine.more_general` uses this: its constants are
+    reused across calls, so they must never escape into a type.
+    ``freeze``'s fresh constants carry no ``#``, so the two never meet.
+    """
+    mapping: Dict[Var, Term] = {}
+
+    def constant(_variable: Var) -> Struct:
+        return Struct(f"{FROZEN_PREFIX}#{len(mapping)}", ())
+
+    return map_variables(term, mapping, default=constant)
 
 
 @dataclass
@@ -100,7 +124,8 @@ class SubtypeEngine:
         self.symbols = constraints.symbols
         self.memoize = memoize
         self.stats = SubtypeStats()
-        self._memo: Dict[Tuple[Term, Term], bool] = {}
+        #: Ground ``(τ, τ′)`` pairs and ``(_MORE_GENERAL, τ1, τ2)`` triples.
+        self._memo: Dict[tuple, bool] = {}
         #: True when ``_memo`` is a table borrowed from a process-wide
         #: :class:`repro.core.shared_memo.SharedSubtypeMemo` rather than
         #: this engine's own dict.  Sharing is strictly opt-in: the plain
@@ -246,8 +271,38 @@ class SubtypeEngine:
         return self.holds(type_term, ground_term)
 
     def more_general(self, general: Term, specific: Term) -> bool:
-        """Definition 5: ``τ1 ⪰_C τ̄2``."""
-        return self.holds(general, freeze(specific))
+        """Definition 5: ``τ1 ⪰_C τ̄2``.
+
+        A memoizing engine decides each question once: the verdict is
+        stored under ``(_MORE_GENERAL, general, specific)`` in ``_memo``
+        (the shared table when attached), and a miss freezes ``specific``
+        canonically.  ``memoize=False`` keeps the fresh ``freeze``.
+        """
+        if not self.memoize:
+            return self.holds(general, freeze(specific))
+        key = (_MORE_GENERAL, general, specific)
+        cached = self._memo.get(key)
+        if TRACER.enabled:
+            TRACER.point(
+                CacheProbeEvent, cache="subtype.more_general", hit=cached is not None
+            )
+        if cached is not None:
+            self.stats.memo_hits += 1
+            if METRICS.enabled:
+                self._count_memo("hits")
+            return cached
+        verdict = self.holds(general, _freeze_canonically(specific))
+        self._memo[key] = verdict
+        self.stats.memo_entries += 1
+        if METRICS.enabled:
+            self._count_memo("entries")
+        return verdict
+
+    def _count_memo(self, traffic: str) -> None:
+        """Mirror one memo hit/entry made outside :meth:`holds`."""
+        METRICS.inc(f"subtype.memo_{traffic}")
+        if self._memo_shared:
+            METRICS.inc(f"subtype.shared_memo.{traffic}")
 
     def equivalent(self, left: Term, right: Term) -> bool:
         """Mutual generality (each side more general than the other)."""
