@@ -33,7 +33,7 @@ from repro.core.recursion import ensure_recursion_capacity
 from repro.core.shared_memo import SharedSubtypeMemo
 from repro.core.subtype import SubtypeEngine
 from repro.lang import parse_term as T
-from repro.terms.term import clear_intern_table, intern_stats
+from repro.terms.term import intern_stats
 from repro.workloads import deep_nat, paper_universe
 
 Row = Tuple[str, str]
@@ -67,7 +67,6 @@ def _warm_requery(depth: int, iterations: int) -> float:
     from scratch and re-asks ``nat ⪰ tower`` — the shape batch traffic
     produces when many files mention the same deep terms.
     """
-    clear_intern_table()
     engine = SubtypeEngine(paper_universe())
     nat = T("nat")
     keep = deep_nat(depth)  # pins the interned nodes (weak table)
@@ -116,8 +115,11 @@ def intern_measurements(quick: bool = False) -> Tuple[List[Row], List[Dict[str, 
     iterations = 20 if quick else 50
     engines = 10 if quick else 25
 
+    before = intern_stats()
     warm_interned = _warm_requery(depth, iterations)
-    interned_traffic = intern_stats()
+    after = intern_stats()
+    hits, misses = after.hits - before.hits, after.misses - before.misses
+    hit_rate = hits / (hits + misses) if hits + misses else 0.0
 
     shared_per_engine = _fresh_engines(True, depth, engines)
     cold_per_engine = _fresh_engines(False, depth, engines)
@@ -128,7 +130,7 @@ def intern_measurements(quick: bool = False) -> Tuple[List[Row], List[Dict[str, 
     rows: List[Row] = [
         (
             f"I1 warm ground re-query, succ^{depth}(0), interned",
-            f"{fmt(warm_interned)} (table hit rate {interned_traffic.hit_rate:.0%})",
+            f"{fmt(warm_interned)} (table hit rate {hit_rate:.0%})",
         ),
         (
             f"I2 fresh engines on a shared memo, succ^{depth}(0)",

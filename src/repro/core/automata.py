@@ -513,62 +513,88 @@ class TreeAutomaton:
         memo: Dict[Tuple[Struct, Struct], MatchVerdict],
         constraint_mode: bool,
     ) -> MatchVerdict:
-        key = (type_term, term)
-        verdict = memo.get(key)
+        """The three-valued walk over an explicit stack, so term depth is
+        bounded by memory rather than by the C stack.
+
+        A frame is ``[key, clause3, taus, subs, next, saw_a, saw_b]``: the
+        pair, whether clause 3 (function symbol on top) or clause 4 (type
+        constructor) applies, the sub-questions as parallel sequences —
+        argument types and arguments, or one-step expansions and the term
+        itself — the index of the next one to ask, and two outcome flags:
+        ⊥ seen (clause 3), or typing and fail seen (clause 4).  Every pair
+        is memoized when its verdict is final, exactly as a recursive walk
+        would, and a sub-question is asked only if the ones before it left
+        its parent open.
+        """
+        verdict = memo.get((type_term, term))
         if verdict is not None:
             return verdict
-        if not self.symbols.is_type_constructor(type_term.functor):
-            # Clause 3: function symbol at the top of the type.
-            if (
-                type_term.functor != term.functor
-                or len(type_term.args) != len(term.args)
-            ):
-                verdict = "fail"
-            elif constraint_mode:
-                verdict = "typing"
-                for tau, sub_term in zip(type_term.args, term.args):
-                    inner = self._match_walk(tau, sub_term, memo, constraint_mode)  # type: ignore[arg-type]
-                    if inner != "typing":
-                        verdict = inner
-                        break
-            else:
-                verdict = "typing"
-                saw_bottom = False
-                for tau, sub_term in zip(type_term.args, term.args):
-                    inner = self._match_walk(tau, sub_term, memo, constraint_mode)  # type: ignore[arg-type]
-                    if inner == "fail":
-                        verdict = "fail"
-                        break
-                    if inner == "bottom":
-                        saw_bottom = True
-                if verdict == "typing" and saw_bottom:
-                    verdict = "bottom"
-        else:
-            # Clause 4: outcome *set* over the one-step expansions.  With
-            # ground arguments the distinct outcomes are ⊆ {typing, fail,
-            # ⊥}: any ⊥ forecloses a unique non-fail result, else a
-            # typing wins, else all-fail is fail, and no expansions at
-            # all is the definition's else-branch ⊥.
-            saw_typing = saw_fail = saw_bottom = False
-            for expansion in self._expansions_of(type_term):
-                inner = self._match_walk(expansion, term, memo, constraint_mode)
-                if inner == "bottom":
-                    saw_bottom = True
-                    break
-                if inner == "typing":
-                    saw_typing = True
+        is_tc = self.symbols.is_type_constructor
+        expansions_of = self._expansions_of
+        stack: List[List[object]] = []
+        tau, sub = type_term, term
+        while True:
+            # Ask (tau, sub): a memo hit, a verdict at once, or a new frame.
+            key = (tau, sub)
+            verdict = memo.get(key)
+            if verdict is None:
+                if is_tc(tau.functor):
+                    stack.append([key, False, expansions_of(tau), sub, 0, False, False])
+                elif tau.functor != sub.functor or len(tau.args) != len(sub.args):
+                    verdict = memo[key] = "fail"
+                elif not tau.args:
+                    verdict = memo[key] = "typing"
                 else:
-                    saw_fail = True
-            if saw_bottom:
-                verdict = "bottom"
-            elif saw_typing:
-                verdict = "typing"
-            elif saw_fail:
-                verdict = "fail"
-            else:
-                verdict = "bottom"
-        memo[key] = verdict
-        return verdict
+                    stack.append([key, True, tau.args, sub.args, 0, False, False])
+            while True:
+                if verdict is not None:
+                    # Fold the answer into the frame that asked, popping
+                    # every frame it decides.
+                    if not stack:
+                        return verdict
+                    frame = stack[-1]
+                    if frame[1]:
+                        # Clause 3: constraint mode stops at the first
+                        # non-typing argument; Definition 13 lets fail
+                        # dominate ⊥.
+                        if constraint_mode:
+                            decided = verdict != "typing"
+                        else:
+                            decided = verdict == "fail"
+                            if verdict == "bottom":
+                                frame[5] = True
+                    else:
+                        # Clause 4: any ⊥ forecloses a unique non-fail
+                        # result; typing and fail are only recorded.
+                        decided = verdict == "bottom"
+                        if verdict == "typing":
+                            frame[5] = True
+                        elif verdict == "fail":
+                            frame[6] = True
+                    if decided:
+                        memo[frame[0]] = verdict  # type: ignore[index]
+                        stack.pop()
+                        continue
+                    verdict = None
+                frame = stack[-1]
+                index: int = frame[4]  # type: ignore[assignment]
+                taus: Tuple[Struct, ...] = frame[2]  # type: ignore[assignment]
+                if index < len(taus):
+                    frame[4] = index + 1
+                    tau = taus[index]
+                    sub = frame[3][index] if frame[1] else frame[3]  # type: ignore[index,assignment]
+                    break
+                # Every sub-question answered without deciding the frame.
+                if frame[1]:
+                    verdict = "bottom" if frame[5] else "typing"
+                elif frame[5]:
+                    verdict = "typing"  # a typing wins over fails
+                elif frame[6]:
+                    verdict = "fail"
+                else:
+                    verdict = "bottom"  # no expansions at all
+                memo[frame[0]] = verdict  # type: ignore[index]
+                stack.pop()
 
     # -- introspection / persistence ------------------------------------------
 

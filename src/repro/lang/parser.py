@@ -57,7 +57,7 @@ from .ast import (
     SourceFile,
     TypeDecl,
 )
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Scan, Token, TokenKind
 
 #: An open ``name(`` or ``(`` during term parsing: functor (``None`` for a
 #: parenthesised union), arguments so far (``None`` likewise), and the
@@ -74,6 +74,14 @@ __all__ = [
     "parse_query",
 ]
 
+#: The kinds the term loop compares per token, as module globals.
+_NAME = TokenKind.NAME
+_VARIABLE = TokenKind.VARIABLE
+_LPAREN = TokenKind.LPAREN
+_RPAREN = TokenKind.RPAREN
+_COMMA = TokenKind.COMMA
+_PLUS = TokenKind.PLUS
+
 
 class ParseError(Exception):
     """Raised on any syntax error; carries the offending position."""
@@ -84,32 +92,44 @@ class ParseError(Exception):
 
 
 class _Parser:
+    """Recursive descent over one :class:`Scan`.  The cursor is the index
+    ``index`` into the scan's parallel ``lexemes``/``kinds`` lists;
+    ``last`` is the index of the last consumed token, the end of the
+    current item's span."""
+
     def __init__(self, text: str) -> None:
-        self.tokens = tokenize(text)
+        scan = Scan(text)
+        self.scan = scan
+        self.lexemes = scan.lexemes
+        self.kinds = scan.kinds
         self.index = 0
-        self.previous: Token = self.tokens[0]
+        self.last = 0
 
     # -- token plumbing ---------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.index]
+    def error(self, message: str, index: Optional[int] = None) -> ParseError:
+        """A :class:`ParseError` at token ``index`` (default: the cursor)."""
+        return ParseError(message, self.scan.token(self.index if index is None else index))
 
-    def advance(self) -> Token:
-        token = self.tokens[self.index]
-        if token.kind != TokenKind.EOF:
-            self.index += 1
-        self.previous = token
-        return token
+    def advance(self) -> str:
+        """Consume the token under the cursor; return its lexeme."""
+        index = self.index
+        if self.kinds[index] != TokenKind.EOF:
+            self.index = index + 1
+        self.last = index
+        return self.lexemes[index]
 
-    def _span(self, start: Token) -> Position:
-        """The source range from ``start`` through the last consumed token."""
-        end = self.previous
-        return Position(start.line, start.column, end.end_line, end.end_column)
+    def _span(self, start: int) -> Position:
+        """The source range from token ``start`` through the last consumed
+        token."""
+        scan = self.scan
+        line, column = scan.line_column(scan.start(start))
+        end_line, end_column = scan.line_column(scan.start(self.last))
+        return Position(line, column, end_line, end_column + len(self.lexemes[self.last]))
 
     def check(self, kind: str, text: str = "") -> bool:
-        token = self.current
-        return token.kind == kind and (not text or token.text == text)
+        index = self.index
+        return self.kinds[index] == kind and (not text or self.lexemes[index] == text)
 
     def accept(self, kind: str, text: str = "") -> bool:
         if self.check(kind, text):
@@ -117,9 +137,9 @@ class _Parser:
             return True
         return False
 
-    def expect(self, kind: str, what: str) -> Token:
-        if not self.check(kind):
-            raise ParseError(f"expected {what}", self.current)
+    def expect(self, kind: str, what: str) -> str:
+        if self.kinds[self.index] != kind:
+            raise self.error(f"expected {what}")
         return self.advance()
 
     # -- terms -------------------------------------------------------------
@@ -130,14 +150,15 @@ class _Parser:
 
     def atom(self) -> Struct:
         """A predicate application ``name`` or ``name(union, ...)``."""
-        token = self.current
-        if token.kind != TokenKind.NAME:
-            raise ParseError("expected an atom (predicate application)", token)
-        if self.tokens[self.index + 1].kind != TokenKind.LPAREN:
+        index = self.index
+        if self.kinds[index] != _NAME:
+            raise self.error("expected an atom (predicate application)")
+        name = self.lexemes[index]
+        if self.kinds[index + 1] != _LPAREN:
             self.advance()
-            return Struct(token.text, ())
-        self.index += 2
-        return self._term([(token.text, [], None)])  # type: ignore[return-value]
+            return Struct(name, ())
+        self.index = index + 2
+        return self._term([(name, [], None)])  # type: ignore[return-value]
 
     def _term(self, frames: List[_Frame]) -> Term:
         """Parse a union, or with one open application frame in ``frames``
@@ -146,51 +167,51 @@ class _Parser:
         One loop over an explicit stack of open frames, so nesting costs
         heap rather than interpreter frames and has no depth limit.
         """
-        tokens = self.tokens
+        lexemes = self.lexemes
+        kinds = self.kinds
         i = self.index
         whole_atom = bool(frames)
         left: Optional[Term] = None  # pending left '+' operand at this level
         while True:
-            token = tokens[i]
-            kind = token.kind
+            kind = kinds[i]
             i += 1
-            if kind == TokenKind.NAME:
-                if tokens[i].kind == TokenKind.LPAREN:
-                    frames.append((token.text, [], left))
+            if kind == _NAME:
+                if kinds[i] == _LPAREN:
+                    frames.append((lexemes[i - 1], [], left))
                     left = None
                     i += 1
                     continue
-                term: Term = Struct(token.text, ())
-            elif kind == TokenKind.VARIABLE:
-                term = Var(token.text)
-            elif kind == TokenKind.LPAREN:
+                term: Term = Struct(lexemes[i - 1], ())
+            elif kind == _VARIABLE:
+                term = Var(lexemes[i - 1])
+            elif kind == _LPAREN:
                 frames.append((None, None, left))
                 left = None
                 continue
             else:
-                raise ParseError("expected a term", token)
+                raise self.error("expected a term", i - 1)
             # A primary is complete: fold it into its level's union, then
             # close each frame that the following ')' tokens end.
             while True:
                 if left is not None:
                     term = Struct(UNION_TYPE, (left, term))
-                kind = tokens[i].kind
-                if kind == TokenKind.PLUS:
+                kind = kinds[i]
+                if kind == _PLUS:
                     left = term
                     i += 1
                     break
                 if not frames:
                     self.index = i
-                    self.previous = tokens[i - 1]
+                    self.last = i - 1
                     return term
                 functor, args, left = frames[-1]
-                if kind == TokenKind.COMMA and args is not None:
+                if kind == _COMMA and args is not None:
                     args.append(term)
                     left = None
                     i += 1
                     break
-                if kind != TokenKind.RPAREN:
-                    raise ParseError("expected ')'", tokens[i])
+                if kind != _RPAREN:
+                    raise self.error("expected ')'", i)
                 i += 1
                 frames.pop()
                 if args is not None:
@@ -198,7 +219,7 @@ class _Parser:
                     term = Struct(functor, tuple(args))  # type: ignore[arg-type]
                     if whole_atom and not frames:
                         self.index = i
-                        self.previous = tokens[i - 1]
+                        self.last = i - 1
                         return term
 
     #: Infix goals: Section 7's typed-unification constraint ``X : nat``
@@ -221,80 +242,82 @@ class _Parser:
         passes treat them like any other atom.
         """
         lhs = self.union()
-        token = self.current
-        functor = self._INFIX_GOALS.get(token.kind)
-        if functor is None and token.kind == TokenKind.NAME and token.text == "is":
+        index = self.index
+        kind = self.kinds[index]
+        functor = self._INFIX_GOALS.get(kind)
+        if functor is None and kind == _NAME and self.lexemes[index] == "is":
             functor = "is"
         if functor is not None:
             self.advance()
             return Struct(functor, (lhs, self.union()))
         if not isinstance(lhs, Struct) or lhs.functor == UNION_TYPE:
-            raise ParseError("expected an atom or a ':' type constraint", token)
+            raise self.error("expected an atom or a ':' type constraint")
         return lhs
 
     def query_goals(self) -> Tuple[Struct, ...]:
         out = [self.query_goal()]
-        while self.accept(TokenKind.COMMA):
+        while self.accept(_COMMA):
             out.append(self.query_goal())
         return tuple(out)
 
     # -- items -------------------------------------------------------------
 
     def namelist(self) -> Tuple[str, ...]:
-        names = [self.expect(TokenKind.NAME, "a symbol name").text]
-        while self.accept(TokenKind.COMMA):
-            names.append(self.expect(TokenKind.NAME, "a symbol name").text)
+        names = [self.expect(_NAME, "a symbol name")]
+        while self.accept(_COMMA):
+            names.append(self.expect(_NAME, "a symbol name"))
         return tuple(names)
 
     def item(self) -> Item:
-        token = self.current
-        if token.kind == TokenKind.KEYWORD:
-            if token.text == "FUNC":
+        start = self.index
+        if self.kinds[start] == TokenKind.KEYWORD:
+            keyword = self.lexemes[start]
+            if keyword == "FUNC":
                 self.advance()
                 names = self.namelist()
                 self.expect(TokenKind.DOT, "'.'")
-                return FuncDecl(names, self._span(token))
-            if token.text == "TYPE":
+                return FuncDecl(names, self._span(start))
+            if keyword == "TYPE":
                 self.advance()
                 names = self.namelist()
                 self.expect(TokenKind.DOT, "'.'")
-                return TypeDecl(names, self._span(token))
-            if token.text == "PRED":
+                return TypeDecl(names, self._span(start))
+            if keyword == "PRED":
                 self.advance()
                 head, inline_modes = self.pred_head()
                 self.expect(TokenKind.DOT, "'.'")
-                return PredDecl(head, self._span(token), inline_modes)
-            if token.text == "MODE":
+                return PredDecl(head, self._span(start), inline_modes)
+            if keyword == "MODE":
                 self.advance()
-                name = self.expect(TokenKind.NAME, "a predicate name").text
+                name = self.expect(_NAME, "a predicate name")
                 modes: List[str] = []
-                if self.accept(TokenKind.LPAREN):
+                if self.accept(_LPAREN):
                     modes.append(self.mode())
-                    while self.accept(TokenKind.COMMA):
+                    while self.accept(_COMMA):
                         modes.append(self.mode())
-                    self.expect(TokenKind.RPAREN, "')'")
+                    self.expect(_RPAREN, "')'")
                 self.expect(TokenKind.DOT, "'.'")
-                return ModeDecl(name, tuple(modes), self._span(token))
-            raise ParseError("keyword not allowed here", token)
+                return ModeDecl(name, tuple(modes), self._span(start))
+            raise self.error("keyword not allowed here")
         if self.accept(TokenKind.IMPLIES):
             body = self.query_goals()
             self.expect(TokenKind.DOT, "'.'")
-            return QueryDecl(body, self._span(token))
+            return QueryDecl(body, self._span(start))
         # Constraint or clause: both start with a term.
         lhs = self.union()
         if self.accept(TokenKind.GEQ):
             rhs = self.union()
             self.expect(TokenKind.DOT, "'.'")
-            return ConstraintDecl(lhs, rhs, self._span(token))
+            return ConstraintDecl(lhs, rhs, self._span(start))
         if not isinstance(lhs, Struct) or lhs.functor == UNION_TYPE:
-            raise ParseError("clause head must be a predicate application", token)
+            raise self.error("clause head must be a predicate application", start)
         body: Tuple[Struct, ...] = ()
         if self.accept(TokenKind.IMPLIES):
             # Clause bodies may carry ':' constraints too (they then opt
             # into the constrained execution model, like queries).
             body = self.query_goals()
         self.expect(TokenKind.DOT, "'.'")
-        return ClauseDecl(lhs, body, self._span(token))
+        return ClauseDecl(lhs, body, self._span(start))
 
     def pred_head(self) -> Tuple[Struct, Optional[Tuple[str, ...]]]:
         """A ``PRED`` declaration head, with optional §7 inline modes.
@@ -303,9 +326,9 @@ class _Parser:
         ("OUT", "IN"))``; the plain form returns ``(head, None)``.
         Mixing annotated and unannotated positions is a parse error.
         """
-        anchor = self.current
-        name = self.expect(TokenKind.NAME, "a predicate name").text
-        if not self.accept(TokenKind.LPAREN):
+        anchor = self.index
+        name = self.expect(_NAME, "a predicate name")
+        if not self.accept(_LPAREN):
             return Struct(name, ()), None
         args: List[Term] = []
         modes: List[Optional[str]] = []
@@ -313,29 +336,27 @@ class _Parser:
             if self.check(TokenKind.KEYWORD, "IN") or self.check(
                 TokenKind.KEYWORD, "OUT"
             ):
-                modes.append(self.advance().text)
+                modes.append(self.advance())
             else:
                 modes.append(None)
             args.append(self.union())
-            if not self.accept(TokenKind.COMMA):
+            if not self.accept(_COMMA):
                 break
-        self.expect(TokenKind.RPAREN, "')'")
+        self.expect(_RPAREN, "')'")
         annotated = sum(1 for mode in modes if mode is not None)
         if annotated == 0:
             return Struct(name, tuple(args)), None
         if annotated != len(modes):
-            raise ParseError(
+            raise self.error(
                 "either every PRED argument carries an IN/OUT mode or none does",
                 anchor,
             )
         return Struct(name, tuple(args)), tuple(modes)  # type: ignore[arg-type]
 
     def mode(self) -> str:
-        token = self.current
-        if token.kind == TokenKind.KEYWORD and token.text in ("IN", "OUT"):
-            self.advance()
-            return token.text
-        raise ParseError("expected IN or OUT", token)
+        if self.check(TokenKind.KEYWORD, "IN") or self.check(TokenKind.KEYWORD, "OUT"):
+            return self.advance()
+        raise self.error("expected IN or OUT")
 
     def file(self) -> SourceFile:
         source = SourceFile()
@@ -345,7 +366,7 @@ class _Parser:
 
     def expect_eof(self) -> None:
         if not self.check(TokenKind.EOF):
-            raise ParseError("trailing input", self.current)
+            raise self.error("trailing input")
 
 
 # -- public entry points ----------------------------------------------------
@@ -385,7 +406,7 @@ def parse_clause(text: str) -> ClauseDecl:
     item = parser.item()
     parser.expect_eof()
     if not isinstance(item, ClauseDecl):
-        raise ParseError("expected a program clause", parser.current)
+        raise parser.error("expected a program clause")
     return item
 
 
@@ -395,5 +416,5 @@ def parse_query(text: str) -> QueryDecl:
     item = parser.item()
     parser.expect_eof()
     if not isinstance(item, QueryDecl):
-        raise ParseError("expected a query", parser.current)
+        raise parser.error("expected a query")
     return item

@@ -20,20 +20,17 @@ memo tables.  All structural traversals (variables, size, depth, ground
 test, renaming) are iterative to stay robust on the deep terms produced
 by the benchmark generators.
 
-**Hash-consing.**  By default every ``Var``/``Struct`` construction is
-routed through a canonicalizing intern table (weak-valued and
-thread-safe), so structurally equal terms built anywhere in the process
-are the *same object*.  That turns the deep structural comparisons the
-subtype engine's memo tables would otherwise perform into pointer
-checks: dictionary lookups on interned terms hit the identity fast path
-before ever calling ``__eq__``, and ``__eq__`` itself starts with an
-``is`` check.  Per-node derived results (the hash, the groundness flag,
-the variable set, short pretty-printings) are computed once per
-canonical node instead of once per structurally-equal copy.  Interning
-is not a setting: every term is canonical when built.  ``__eq__`` still
-falls back to a structural comparison, because after
-:func:`clear_intern_table` a node built earlier and a node built later
-for the same term can both be alive; they compare and hash equal.
+**Hash-consing.**  Every ``Var``/``Struct`` construction is routed
+through a canonicalizing intern table (plain dicts of weak references,
+probed under one lock), so structurally equal terms built anywhere in
+the process are the *same object* for as long as either is alive.
+Equality is therefore object identity — neither class defines
+``__eq__`` — and the memo tables' deep structural comparisons become
+pointer checks.  The hash stays structural, so set and dict order never
+depends on addresses.  Per-node derived results (the hash, the
+groundness flag, the variable set, short pretty-printings) are computed
+once per canonical node.  Interning is not a setting: every term is
+canonical when built.
 """
 
 from __future__ import annotations
@@ -41,6 +38,7 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "functors_of",
     "InternStats",
     "intern_stats",
-    "clear_intern_table",
 ]
 
 
@@ -98,32 +95,43 @@ class InternStats:
 class _InternTable:
     """The process-wide canonicalizing table behind ``Var``/``Struct``.
 
-    Values are weak: a canonical node lives exactly as long as something
-    outside the table references it, so the table never pins memory the
-    program has let go of.  All lookups and inserts happen under one
-    lock — the critical section is a dict probe plus (on a miss) a plain
-    object allocation, so contention stays low even under the batch
-    service's thread pools.
+    ``structs`` maps ``(functor, args)`` and ``vars`` maps a name to a
+    weak reference to the canonical node, so a node lives exactly as long
+    as something outside the table references it.  Lookups and inserts
+    happen under ``lock``: the critical section is a dict probe plus (on
+    a miss) a plain object allocation.  A dead node's entry is dropped by
+    its reference's callback, which runs wherever the node dies — possibly
+    inside a critical section of this very table — so it takes no lock:
+    ``_remove_dead_weakref`` deletes the key in one step, and only while
+    the key still maps to a dead reference, so a newer live node for the
+    same key survives.
     """
 
     __slots__ = ("lock", "structs", "vars", "hits", "misses")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.structs: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-        self.vars: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+        self.structs: Dict[Tuple[str, Tuple["Term", ...]], "_KeyRef"] = {}
+        self.vars: Dict[str, "_KeyRef"] = {}
         self.hits = 0
         self.misses = 0
 
-    def clear(self) -> None:
-        with self.lock:
-            self.structs.clear()
-            self.vars.clear()
-            self.hits = 0
-            self.misses = 0
+
+class _KeyRef(weakref.ref):
+    """A weak reference that remembers its intern-table key."""
+
+    __slots__ = ("key",)
 
 
 _INTERN = _InternTable()
+
+
+def _drop_struct(ref: _KeyRef, table=_INTERN.structs) -> None:
+    _remove_dead_weakref(table, ref.key)
+
+
+def _drop_var(ref: _KeyRef, table=_INTERN.vars) -> None:
+    _remove_dead_weakref(table, ref.key)
 
 
 def intern_stats() -> InternStats:
@@ -137,24 +145,13 @@ def intern_stats() -> InternStats:
         )
 
 
-def clear_intern_table() -> None:
-    """Drop every canonical node and zero the traffic counters.
-
-    Existing terms are unaffected: they stop being the canonical
-    representative for new constructions, and still compare and hash
-    equal to the new nodes built for the same term.  Mainly for tests
-    and for long-lived daemons that want a clean measurement window.
-    """
-    _INTERN.clear()
-
-
 class Var:
     """A logical variable.
 
-    Variables are compared by name: two ``Var("X")`` objects are the same
-    variable — and, through the intern table, the same *object*.  Scoping
-    (keeping the variables of two clauses apart) is the caller's job and
-    is normally done with :func:`rename_apart`.
+    Variables are identified by name: two ``Var("X")`` constructions are
+    the same variable and, through the intern table, the same *object*.
+    Scoping (keeping the variables of two clauses apart) is the caller's
+    job and is normally done with :func:`rename_apart`.
     """
 
     __slots__ = ("name", "_hash", "__weakref__")
@@ -162,29 +159,23 @@ class Var:
     def __new__(cls, name: str) -> "Var":
         table = _INTERN
         with table.lock:
-            existing = table.vars.get(name)
-            if existing is not None:
-                table.hits += 1
-                return existing
+            ref = table.vars.get(name)
+            if ref is not None:
+                self = ref()
+                if self is not None:
+                    table.hits += 1
+                    return self
             table.misses += 1
             self = object.__new__(cls)
-            self.name = name
-            self._hash = hash((name,))
-            table.vars[name] = self
+            object.__setattr__(self, "name", name)
+            object.__setattr__(self, "_hash", hash((name,)))
+            ref = _KeyRef(self, _drop_var)
+            ref.key = name
+            table.vars[name] = ref
             return self
 
     def __setattr__(self, attr: str, value: object) -> None:
-        if attr in ("name", "_hash") and not hasattr(self, "_hash"):
-            object.__setattr__(self, attr, value)
-            return
         raise AttributeError(f"Var is immutable (cannot set {attr!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if isinstance(other, Var):
-            return self.name == other.name
-        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -220,14 +211,18 @@ class Struct:
         table = _INTERN
         key = (functor, args)
         with table.lock:
-            existing = table.structs.get(key)
-            if existing is not None:
-                table.hits += 1
-                return existing
+            ref = table.structs.get(key)
+            if ref is not None:
+                self = ref()
+                if self is not None:
+                    table.hits += 1
+                    return self
             table.misses += 1
             self = object.__new__(cls)
             _init_struct(self, functor, args, hash(key))
-            table.structs[key] = self
+            ref = _KeyRef(self, _drop_struct)
+            ref.key = key
+            table.structs[key] = ref
             return self
 
     def __setattr__(self, attr: str, value: object) -> None:
@@ -237,17 +232,6 @@ class Struct:
             object.__setattr__(self, attr, value)
             return
         raise AttributeError(f"Struct is immutable (cannot set {attr!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if isinstance(other, Struct):
-            return (
-                self._hash == other._hash
-                and self.functor == other.functor
-                and self.args == other.args
-            )
-        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash

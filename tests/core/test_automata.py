@@ -3,8 +3,12 @@ to the template-expansion engine, the naive SLD oracle, and both match
 variants — on hand cases, budget-refused roots, frozen constants, random
 uniform universes, and across a pickle round trip."""
 
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,10 +21,12 @@ from repro.core import (
     SubtypeEngine,
 )
 from repro.core.automata import AutomataStore, TreeAutomaton
+from repro.core.declarations import ConstraintSet, SymbolTable
 from repro.lang import parse_term as T
 from repro.terms import Struct, Var
 from repro.terms.freeze import freeze
 from repro.workloads import (
+    constraint,
     deep_int,
     deep_nat,
     ids_nonuniform,
@@ -115,6 +121,130 @@ def test_holds_on_deep_towers(store):
     assert automaton.holds(T("int"), deep_int(512)) is True
     assert automaton.holds(T("nat"), deep_int(512)) is False
     assert automaton.holds(T("list(nat)"), nat_list(128)) is True
+
+
+def _recursive_match_walk(automaton, type_term, term, memo, constraint_mode):
+    """The ground match walk as a plain recursion over Definition 13's
+    clauses 3 and 4 — the reference for the explicit-stack walk."""
+    key = (type_term, term)
+    if key in memo:
+        return memo[key]
+    if not automaton.symbols.is_type_constructor(type_term.functor):
+        if type_term.functor != term.functor or len(type_term.args) != len(term.args):
+            verdict = "fail"
+        else:
+            verdict = "typing"
+            saw_bottom = False
+            for tau, sub in zip(type_term.args, term.args):
+                inner = _recursive_match_walk(automaton, tau, sub, memo, constraint_mode)
+                if constraint_mode:
+                    if inner != "typing":
+                        verdict = inner
+                        break
+                elif inner == "fail":
+                    verdict = "fail"
+                    break
+                elif inner == "bottom":
+                    saw_bottom = True
+            if verdict == "typing" and saw_bottom:
+                verdict = "bottom"
+    else:
+        outcomes = set()
+        for expansion in automaton._expansions_of(type_term):
+            inner = _recursive_match_walk(automaton, expansion, term, memo, constraint_mode)
+            outcomes.add(inner)
+            if inner == "bottom":
+                break
+        if "bottom" in outcomes or not outcomes:
+            verdict = "bottom"
+        else:
+            verdict = "typing" if "typing" in outcomes else "fail"
+    memo[key] = verdict
+    return verdict
+
+
+@pytest.mark.parametrize("constraint_mode", [False, True])
+def test_match_walk_matches_the_recursive_walk_entry_for_entry(constraint_mode):
+    """Same verdicts AND the same memo entries as the recursive walk: a
+    sub-question is asked only when the ones before it left its parent
+    open, in both clause-3 orders."""
+    rng = random.Random(4242)
+    verdicts = set()
+    for _ in range(12):
+        cset = random_guarded_constraint_set(rng)
+        automaton = AutomataStore().automaton_for(cset)
+        if automaton is None:
+            continue
+        types, members = [], []
+        for _ in range(8):
+            sup, _sub = random_subtype_pair(rng, cset)
+            if sup is None or not sup.ground:
+                continue
+            term = random_ground_member(rng, cset, sup)
+            if isinstance(term, Struct):
+                types.append(sup)
+                members.append(term)
+        for sup in types:
+            for term in members:
+                memo, reference = {}, {}
+                verdict = automaton._match_walk(sup, term, memo, constraint_mode)
+                expected = _recursive_match_walk(automaton, sup, term, reference, constraint_mode)
+                assert verdict == expected
+                assert memo == reference
+                verdicts.add(verdict)
+    assert {"typing", "fail"} <= verdicts
+
+
+@pytest.mark.parametrize("constraint_mode", [False, True])
+def test_match_walk_bottom_cases_match_the_recursive_walk(constraint_mode):
+    """``u`` has no expansions, so it answers ⊥; in ``g(u, t)`` against
+    ``g(a, b)`` Definition 13 lets the second argument's fail dominate,
+    while constraint mode stops at the first argument's ⊥."""
+    symbols = SymbolTable()
+    for name, arity in (("a", 0), ("b", 0), ("f", 1), ("g", 2)):
+        symbols.declare_function(name, arity)
+    for name in ("t", "u"):
+        symbols.declare_type_constructor(name, 0)
+    cset = ConstraintSet(symbols, [constraint("t >= a + f(t)")])
+    automaton = AutomataStore().automaton_for(cset)
+    cases = [
+        (T("g(u, t)"), T("g(a, b)")),
+        (T("g(t, u)"), T("g(f(a), a)")),
+        (T("g(u, t)"), T("g(a, f(a))")),
+        (T("f(u)"), T("f(a)")),
+        (T("t"), T("f(f(b))")),
+        (T("t"), T("f(f(a))")),
+    ]
+    for sup, term in cases:
+        memo, reference = {}, {}
+        verdict = automaton._match_walk(sup, term, memo, constraint_mode)
+        assert verdict == _recursive_match_walk(automaton, sup, term, reference, constraint_mode)
+        assert memo == reference
+    first = automaton._match_walk(T("g(u, t)"), T("g(a, b)"), {}, constraint_mode)
+    assert first == ("bottom" if constraint_mode else "fail")
+
+
+def test_checker_walks_a_20000_deep_fact_and_query_in_a_fresh_interpreter(tmp_path):
+    """Before Python 3.11 every Python call also takes C stack, so a
+    recursive walk over ``s^20000(0)`` crashed the interpreter; the walk
+    runs on an explicit stack.  A fresh interpreter keeps a crash out of
+    this process and starts from the default recursion limit."""
+    depth = 20_000
+    tower = "s(" * depth + "0" + ")" * depth
+    path = tmp_path / "deep.tlp"
+    path.write_text(
+        "FUNC 0, s.\nTYPE nat.\nnat >= 0 + s(nat).\nPRED p(nat).\n"
+        f"p({tower}).\n:- p({tower}).\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.checker.cli", str(path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert "well-typed (1 clauses, 1 queries)" in completed.stdout + completed.stderr
 
 
 def test_random_uniform_universes_differential():

@@ -47,11 +47,6 @@ def run_python(*arguments, stdin=None):
     ],
 )
 def test_cli_gives_a_verdict_on_deep_nesting(tmp_path, depth, module, verdict):
-    if depth > 5_000 and module == "repro.checker.cli" and sys.version_info < (3, 11):
-        # Before 3.11 every Python call also recurses in C, and the
-        # checker's recursive automaton walk overflows the C stack
-        # between 5k and 8k levels (docs/limitations.md).
-        pytest.skip("the checker's later stages recurse in C before Python 3.11")
     path = tmp_path / "deep.tlp"
     path.write_text(deep_program(depth))
     completed = run_python("-m", module, str(path))

@@ -1,15 +1,20 @@
 """Properties of the hash-consing term kernel.
 
 Interning is a representation optimisation, never a semantic one.  Every
-term is canonical when built, and :func:`clear_intern_table` starts a new
-population of canonical nodes while the old nodes stay alive.  Terms of
-the two populations must be indistinguishable to every observer —
-printing, parsing, equality/hashing, and above all the subtype and match
-engines, down to their exact work counters.  These tests pin that down
-on the random workloads the benchmark generators emit.
+term is canonical when built, so two live equal terms are one object and
+equality is identity.  A workload rebuilt after its first copy was
+released must be indistinguishable from it to every observer — printing,
+parsing, hashing, and above all the subtype and match engines, down to
+their exact work counters.  These tests pin that down on the random
+workloads the benchmark generators emit, plus the table's own contract:
+weak entries, a removal callback that never takes the table's lock, and
+race-free construction from many threads.
 """
 
+import gc
 import random
+import sys
+import threading
 
 import pytest
 
@@ -17,7 +22,7 @@ from repro.core.match import Matcher, is_typing_result
 from repro.core.subtype import SubtypeEngine
 from repro.lang import parse_term
 from repro.terms.pretty import pretty
-from repro.terms.term import Struct, Var, clear_intern_table, intern_stats
+from repro.terms.term import _INTERN, Struct, Var, _drop_struct, intern_stats
 from repro.workloads import deep_nat, nat_list, paper_universe
 from repro.workloads.generators import (
     random_guarded_constraint_set,
@@ -47,32 +52,101 @@ def test_equal_construction_yields_the_same_object():
 
 
 def test_intern_table_records_traffic():
-    clear_intern_table()
+    before = intern_stats()
     tower = deep_nat(30)  # held: weak table entries live with the referent
-    stats = intern_stats()
-    assert stats.misses > 0
+    built = intern_stats()
+    assert built.misses + built.hits >= before.misses + before.hits + 31
     rebuilt = deep_nat(30)  # identical tower: every node is a hit now
     assert rebuilt is tower
     again = intern_stats()
-    assert again.hits >= stats.hits + 30
+    assert again.hits >= built.hits + 31
+    assert again.misses == built.misses
     assert again.size > 0
 
 
-def test_mixed_populations_compare_and_hash_identically():
-    """Terms built before and after ``clear_intern_table()`` are distinct
-    objects that mix freely in sets/dicts."""
-    before = nat_list(5, 2)
-    variable = Var("X")
-    clear_intern_table()
-    after = nat_list(5, 2)
-    assert after is not before
-    assert before == after and after == before
-    assert hash(before) == hash(after)
-    assert len({before, after}) == 1
-    table = {before: "value"}
-    assert table[after] == "value"
-    assert Var("X") is not variable and Var("X") == variable
-    assert hash(Var("X")) == hash(variable)
+def test_equality_is_identity():
+    assert "__eq__" not in Struct.__dict__ and "__eq__" not in Var.__dict__
+    term = nat_list(3, 2)
+    assert term == nat_list(3, 2)
+    assert term != nat_list(3, 1) and term != Var("X") and term != "nil"
+    assert hash(term) == hash(("cons", term.args))  # structural, not by address
+
+
+def _released_key(functor):
+    """Build ``functor(0)``, release it and collect it; returns the key and
+    the weak reference its table entry held."""
+    node = Struct(functor, (Struct("0", ()),))
+    key = (functor, node.args)
+    ref = _INTERN.structs[key]
+    assert ref() is node
+    del node
+    gc.collect()
+    assert ref() is None
+    return key, ref
+
+
+def test_released_nodes_leave_the_table():
+    key, _ = _released_key("interning_released")
+    assert key not in _INTERN.structs
+    misses = intern_stats().misses
+    fresh = Struct(*key)
+    assert intern_stats().misses == misses + 1
+    assert Struct(*key) is fresh
+
+
+def test_late_removal_callback_spares_a_newer_node(monkeypatch):
+    """A callback for a dead node that runs after a newer node took its key
+    must leave the newer entry in place — and it must not take the table's
+    (non-reentrant) lock, since it can fire inside a critical section.  The
+    lock is swapped for a test-local one, so a callback that does block
+    fails this test without wedging every later construction."""
+    key, stale = _released_key("interning_late_callback")
+    newer = Struct(*key)
+    lock = threading.Lock()
+    monkeypatch.setattr(_INTERN, "lock", lock)
+    finished = threading.Event()
+
+    def late_callback_under_the_lock():
+        with lock:
+            _drop_struct(stale)
+        finished.set()
+
+    worker = threading.Thread(target=late_callback_under_the_lock, daemon=True)
+    worker.start()
+    assert finished.wait(10), "the removal callback blocked on the table lock"
+    assert _INTERN.structs[key]() is newer
+    assert Struct(*key) is newer
+
+
+def test_threads_building_the_same_terms_get_the_same_objects():
+    """8 threads build the same 2,000 new terms at once; every thread must
+    get the very same object for each term."""
+    threads, count = 8, 2_000
+    barrier = threading.Barrier(threads)
+    built = [None] * threads
+
+    def build(slot):
+        barrier.wait(timeout=60)
+        built[slot] = [
+            Struct(f"race{i % 17}", (Struct(f"race_leaf{i}", ()), Var(f"Race{i % 5}")))
+            for i in range(count)
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(slot,)) for slot in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    first = built[0]
+    assert len(first) == count
+    for other in built[1:]:
+        assert all(mine is theirs for mine, theirs in zip(first, other))
 
 
 # -- round-trips --------------------------------------------------------------------
@@ -84,11 +158,6 @@ def test_parse_intern_pretty_round_trip(seed):
     for term in terms:
         text = pretty(term)
         assert parse_term(text) is term
-        assert pretty(parse_term(text)) == text
-    clear_intern_table()
-    for term in terms:
-        text = pretty(term)
-        assert parse_term(text) == term
         assert pretty(parse_term(text)) == text
 
 
@@ -104,59 +173,64 @@ def test_pickle_reinterns():
 
 
 def _subtype_workload(seed, goals=25):
-    """(constraints, [(supertype, candidate), ...]) built from the intern
-    table as it stands — call once per population with one seed."""
+    """(constraints, [(supertype, candidate), ...]) for one seed."""
     rng = random.Random(seed)
     constraints = random_guarded_constraint_set(rng)
     pairs = [random_subtype_pair(rng, constraints) for _ in range(goals)]
     return constraints, pairs
 
 
+def _rendered(pairs):
+    return [(pretty(sup), pretty(sub)) for sup, sub in pairs]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_subtype_verdicts_and_counters_agree(seed):
-    """Engines over the populations before and after a table clear agree
-    on every ``holds`` verdict AND on the exact SubtypeStats work
-    counters — which node represents a term must not change a single
-    algorithm step, only the cost of each step."""
-    constraints_a, pairs_a = _subtype_workload(seed)
-    engine_a = SubtypeEngine(constraints_a)
-    verdicts_a = [engine_a.holds(sup, sub) for sup, sub in pairs_a]
-    stats_a = engine_a.stats
-    clear_intern_table()
-    constraints_b, pairs_b = _subtype_workload(seed)
-    engine_b = SubtypeEngine(constraints_b)
-    verdicts_b = [engine_b.holds(sup, sub) for sup, sub in pairs_b]
-    stats_b = engine_b.stats
-    assert pairs_a == pairs_b  # same seed, same workload, either way
-    assert verdicts_a == verdicts_b
-    assert stats_a == stats_b
+    """An engine over a workload rebuilt after the first copy was released
+    agrees with the first on every ``holds`` verdict AND on the exact
+    SubtypeStats work counters — whether a node is new or reused must not
+    change a single algorithm step, only the cost of each step."""
+    constraints, pairs = _subtype_workload(seed)
+    engine = SubtypeEngine(constraints)
+    verdicts_a = [engine.holds(sup, sub) for sup, sub in pairs]
+    stats_a = engine.stats
+    rendered_a = _rendered(pairs)
+    del constraints, pairs, engine
+    gc.collect()
+    constraints, pairs = _subtype_workload(seed)
+    engine = SubtypeEngine(constraints)
+    verdicts_b = [engine.holds(sup, sub) for sup, sub in pairs]
+    assert _rendered(pairs) == rendered_a  # same seed, same workload
+    assert verdicts_b == verdicts_a
+    assert engine.stats == stats_a
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_match_verdicts_agree(seed):
-    constraints_a, pairs_a = _subtype_workload(seed)
-    matcher_a = Matcher(constraints_a)
-    results_a = [matcher_a.match(sup, sub) for sup, sub in pairs_a]
-    clear_intern_table()
-    constraints_b, pairs_b = _subtype_workload(seed)
-    matcher_b = Matcher(constraints_b)
-    results_b = [matcher_b.match(sup, sub) for sup, sub in pairs_b]
-    assert len(results_a) == len(results_b)
-    for result_a, result_b in zip(results_a, results_b):
-        assert is_typing_result(result_a) == is_typing_result(result_b)
-        if is_typing_result(result_a):
-            assert dict(result_a.items()) == dict(result_b.items())
-        else:
-            assert repr(result_a) == repr(result_b)  # fail vs bottom
+    def outcomes():
+        constraints, pairs = _subtype_workload(seed)
+        matcher = Matcher(constraints)
+        results = [matcher.match(sup, sub) for sup, sub in pairs]
+        return [
+            ("typing", sorted((pretty(v), pretty(t)) for v, t in result.items()))
+            if is_typing_result(result)
+            else repr(result)  # fail vs bottom
+            for result in results
+        ]
+
+    first = outcomes()
+    gc.collect()
+    assert outcomes() == first
 
 
 def test_paper_universe_membership_agrees():
     nat = parse_term("nat")
-    towers = [deep_nat(depth) for depth in (0, 1, 7, 40)]
+    depths = (0, 1, 7, 40)
     engine = SubtypeEngine(paper_universe())
-    expected = [engine.contains(nat, tower) for tower in towers]
-    clear_intern_table()
+    expected = [engine.contains(nat, deep_nat(depth)) for depth in depths]
+    del engine
+    gc.collect()
     engine = SubtypeEngine(paper_universe())
-    new_towers = [deep_nat(depth) for depth in (0, 1, 7, 40)]
-    assert all(new is not old for new, old in zip(new_towers, towers))
-    assert [engine.contains(nat, t) for t in new_towers] == expected
+    towers = [deep_nat(depth) for depth in depths]
+    assert all(deep_nat(depth) is tower for depth, tower in zip(depths, towers))
+    assert [engine.contains(nat, tower) for tower in towers] == expected
