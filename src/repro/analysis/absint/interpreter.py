@@ -75,6 +75,13 @@ from .domain import SuccessSet, TypeDomain, canonical
 __all__ = ["ProgramInference", "GoalVerdict"]
 
 
+def _shown(renamed: Struct, position: int) -> str:
+    """Component ``position`` of a renamed-apart tuple, for a message:
+    variables numbered by first appearance in the whole tuple, so the
+    text does not depend on the process-wide fresh-variable counter."""
+    return pretty(canonical(renamed).args[position])  # type: ignore[union-attr]
+
+
 class GoalVerdict:
     """Outcome of evaluating one body/query goal against the current
     abstract state."""
@@ -307,7 +314,7 @@ class ProgramInference:
         renamed, _mapping = rename_apart(Struct("$succ", tuple_))
         solvable.update(variables_of(renamed))
         verdict = GoalVerdict(GoalVerdict.OK)
-        for component, argument in zip(renamed.args, goal.args):
+        for position, (component, argument) in enumerate(zip(renamed.args, goal.args)):
             outcome = self.matcher.match(component, argument, solvable)
             if outcome.result is MATCH_FAIL:
                 source = "inferred" if self.is_defined(indicator) else "declared"
@@ -315,7 +322,7 @@ class ProgramInference:
                     GoalVerdict.FAIL,
                     reason=(
                         f"argument {pretty(argument)} never matches the "
-                        f"{source} success type {pretty(component)}"
+                        f"{source} success type {_shown(renamed, position)}"
                     ),
                 )
             if outcome.result is MATCH_BOTTOM:
@@ -432,12 +439,14 @@ class ProgramInference:
         ):
             renamed, _mapping = rename_apart(Struct("$decl", tuple(declaration.head.args)))
             solvable = set(variables_of(renamed))
-            for component, argument in zip(renamed.args, clause.head.args):
+            for position, (component, argument) in enumerate(
+                zip(renamed.args, clause.head.args)
+            ):
                 outcome = self.matcher.match(component, argument, solvable)
                 if outcome.result is MATCH_FAIL:
                     return (
                         f"head argument {pretty(argument)} never matches its "
-                        f"declared type {pretty(component)}"
+                        f"declared type {_shown(renamed, position)}"
                     )
         return None
 

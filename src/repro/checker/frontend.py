@@ -54,7 +54,7 @@ from ..lang.ast import (
 from ..lang.lexer import LexError
 from ..lang.parser import ParseError, parse_file
 from ..lp.clause import Clause, Program, Query
-from ..terms.term import Struct, Term, subterms
+from ..terms.term import Struct, Term
 from .cancel import CancelToken, CheckCancelled, checkpoint
 from .diagnostics import DiagnosticBag
 
@@ -114,11 +114,18 @@ class CheckedModule:
 def _infer_arities(source: SourceFile, bag: DiagnosticBag) -> Dict[str, int]:
     """Infer each declared symbol's arity from its uses (paper style)."""
     uses: Dict[str, Set[int]] = {}
+    # Interned terms share subtrees across items: a node seen once has
+    # had its whole subtree recorded.
+    seen: Set[Struct] = set()
 
     def record(term: Term) -> None:
-        for sub in subterms(term):
-            if isinstance(sub, Struct):
+        stack = [term]
+        while stack:
+            sub = stack.pop()
+            if isinstance(sub, Struct) and sub not in seen:
+                seen.add(sub)
                 uses.setdefault(sub.functor, set()).add(len(sub.args))
+                stack.extend(sub.args)
 
     for item in source.items:
         if isinstance(item, ConstraintDecl):
@@ -279,6 +286,7 @@ def _check_source(
             )
 
     # Step 2d: clauses and queries (object-level syntax checks).
+    checked_terms: Set[Struct] = set()
     for item in source.of_kind(ClauseDecl):
         assert isinstance(item, ClauseDecl)
         ok = True
@@ -286,7 +294,7 @@ def _check_source(
             if atom is not item.head and _is_constraint_goal(atom):
                 term_side, type_side = atom.args
                 try:
-                    constraints.symbols.check_object_term(term_side)
+                    constraints.symbols.check_object_term(term_side, checked_terms)
                     constraints.symbols.check_type(type_side)
                 except DeclarationError as error:
                     bag.error(str(error), item.position)
@@ -294,7 +302,7 @@ def _check_source(
                 continue
             for arg in atom.args:
                 try:
-                    constraints.symbols.check_object_term(arg)
+                    constraints.symbols.check_object_term(arg, checked_terms)
                 except DeclarationError as error:
                     bag.error(str(error), item.position)
                     ok = False
@@ -310,7 +318,7 @@ def _check_source(
                 # the left (variables allowed), a type on the right.
                 term_side, type_side = goal.args
                 try:
-                    constraints.symbols.check_object_term(term_side)
+                    constraints.symbols.check_object_term(term_side, checked_terms)
                     constraints.symbols.check_type(type_side)
                 except DeclarationError as error:
                     bag.error(str(error), item.position)
@@ -318,7 +326,7 @@ def _check_source(
                 continue
             for arg in goal.args:
                 try:
-                    constraints.symbols.check_object_term(arg)
+                    constraints.symbols.check_object_term(arg, checked_terms)
                 except DeclarationError as error:
                     bag.error(str(error), item.position)
                     ok = False

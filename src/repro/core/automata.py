@@ -678,6 +678,10 @@ class AutomataStore:
         self.invalidations = 0
         self.spills = 0
         self.loads = 0
+        #: Spill directory → ``compiles`` at its last spill here (``None``
+        #: when it was only loaded): each directory's spill is read once
+        #: per process and rewritten only after a new compile.
+        self._spill_dirs: Dict[str, Optional[int]] = {}
 
     def ensure_version(self, tag: str) -> None:
         """Fence the store on ``tag``; a changed tag drops every automaton."""
@@ -686,6 +690,7 @@ class AutomataStore:
                 if self._automata:
                     self.invalidations += 1
                 self._automata.clear()
+                self._spill_dirs.clear()
                 self._version = tag
 
     def automaton_for(self, constraints: ConstraintSet) -> Optional[TreeAutomaton]:
@@ -736,6 +741,7 @@ class AutomataStore:
             self.invalidations = 0
             self.spills = 0
             self.loads = 0
+            self._spill_dirs.clear()
 
     def stats(self) -> Dict[str, int]:
         """A snapshot: scope count, aggregate table sizes, traffic."""
@@ -771,10 +777,16 @@ class AutomataStore:
     def save_spill(self, directory: "os.PathLike[str] | str") -> Optional[str]:
         """Pickle every compiled automaton under ``directory``.
 
-        Best-effort and atomic (tmp file + rename): a failed spill never
-        corrupts an existing one and never fails the surrounding batch.
-        Returns the spill path, or ``None`` when nothing was written."""
+        Skipped when this store has compiled nothing since it last
+        spilled there.  Best-effort and atomic (tmp file + rename): a
+        failed spill never corrupts an existing one and never fails the
+        surrounding batch.  Returns the spill path, or ``None`` when
+        nothing was written."""
+        where = os.path.abspath(str(directory))
         with self._lock:
+            compiles = self.compiles
+            if self._spill_dirs.get(where) == compiles:
+                return None
             compiled = {
                 key: automaton
                 for key, automaton in self._automata.items()
@@ -797,18 +809,26 @@ class AutomataStore:
             except OSError:
                 pass
             return None
-        self.spills += 1
+        with self._lock:
+            self.spills += 1
+            self._spill_dirs[where] = compiles
         return path
 
     def load_spill(self, directory: "os.PathLike[str] | str") -> int:
         """Adopt automata spilled by an earlier process; returns the count.
 
-        The spill must carry the store's current version tag (callers
-        :meth:`ensure_version` first) — a stale spill is ignored, exactly
-        as the result cache ignores entries from an older checker.
-        Corrupt files are ignored too: the spill is a warm-start, never a
-        correctness dependency."""
-        path = os.path.join(str(directory), SPILL_FILENAME)
+        Each directory is read once per process (and version): later
+        calls return 0 at once.  The spill must carry the store's current
+        version tag (callers :meth:`ensure_version` first) — a stale
+        spill is ignored, exactly as the result cache ignores entries
+        from an older checker.  Corrupt files are ignored too: the spill
+        is a warm-start, never a correctness dependency."""
+        where = os.path.abspath(str(directory))
+        with self._lock:
+            if where in self._spill_dirs:
+                return 0
+            self._spill_dirs[where] = None
+        path = os.path.join(where, SPILL_FILENAME)
         try:
             with open(path, "rb") as handle:
                 payload = pickle.load(handle)

@@ -132,20 +132,36 @@ class SymbolTable:
                     f"but declared with arity {self.arity_of(sub.functor)}"
                 )
 
-    def check_object_term(self, term: Term) -> None:
-        """Check ``term`` is a term over ``F`` only (the object language)."""
-        for sub in subterms(term):
-            if isinstance(sub, Var):
+    def check_object_term(
+        self, term: Term, passed: Optional[Set[Struct]] = None
+    ) -> None:
+        """Check ``term`` is a term over ``F`` only (the object language).
+
+        ``passed`` carries the nodes of terms that already passed against
+        this table: their subtrees are skipped, and on success this
+        term's nodes join them.  The walk is pre-order, so the first
+        offending node is the one a full walk would report.
+        """
+        visited: List[Struct] = []
+        stack: List[Term] = [term]
+        while stack:
+            sub = stack.pop()
+            if isinstance(sub, Var) or (passed is not None and sub in passed):
                 continue
-            if not self.is_function(sub.functor):
+            arity = self.functions.get(sub.functor)
+            if arity is None:
                 raise DeclarationError(
                     f"symbol {sub.functor} is not a declared function symbol"
                 )
-            if self.functions[sub.functor] != len(sub.args):
+            if arity != len(sub.args):
                 raise DeclarationError(
                     f"function symbol {sub.functor} used with arity {len(sub.args)} "
-                    f"but declared with arity {self.functions[sub.functor]}"
+                    f"but declared with arity {arity}"
                 )
+            visited.append(sub)
+            stack.extend(reversed(sub.args))
+        if passed is not None:
+            passed.update(visited)
 
     def copy(self) -> "SymbolTable":
         """An independent copy."""

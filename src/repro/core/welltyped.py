@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..lp.clause import Clause, Program, Query
+from ..terms.freeze import unfreeze
 from ..terms.pretty import pretty
 from ..terms.substitution import Substitution
 from ..terms.term import Struct, Term, Var, fresh_variable, variables_of
@@ -537,16 +538,9 @@ class WellTypedChecker:
                 return None
             current = current.compose(theta)
 
-        def melt(term: Term) -> Term:
-            if isinstance(term, Var):
-                return term
-            if term in const_to_rigid:
-                return const_to_rigid[term]
-            if not term.args:
-                return term
-            return Struct(term.functor, tuple(melt(a) for a in term.args))
-
-        return Substitution({var: melt(value) for var, value in current.items()})
+        return Substitution(
+            {var: unfreeze(value, const_to_rigid) for var, value in current.items()}
+        )
 
     @staticmethod
     def _describe_clashes(

@@ -128,7 +128,7 @@ class Workspace:
 
     def close(self) -> None:
         try:
-            self.cache.save()
+            self.cache.compact()
         finally:
             if self._own_cache_dir is not None:
                 self._own_cache_dir.cleanup()

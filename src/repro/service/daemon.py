@@ -591,7 +591,7 @@ class CheckService:
         }
 
     def close(self) -> None:
-        """Orderly teardown: persist the cache, flush/close trace sinks.
+        """Orderly teardown: compact the cache, flush/close trace sinks.
 
         Called by the server's graceful drain — the ``shutdown`` op,
         SIGTERM, or the end of stdin — so traces and the persistent
@@ -599,7 +599,7 @@ class CheckService:
         """
         with self._lock:
             if self.cache is not None:
-                self.cache.save()
+                self.cache.compact()
                 from ..core.automata import AUTOMATA
 
                 AUTOMATA.save_spill(self.cache.cache_dir)

@@ -277,7 +277,9 @@ def run_batch(
     # Warm-start the compiled-automata store from a spill in the cache
     # directory (written below; version-fenced through ensure_version
     # above) so a fresh batch process starts with every declaration
-    # scope already compiled.
+    # scope already compiled.  The store reads each directory's spill
+    # once per process and rewrites it only after a new compile, so a
+    # server's repeated passes over one workspace pay for neither.
     from ..core.automata import AUTOMATA
 
     if cache is not None:

@@ -21,7 +21,14 @@ from typing import Dict, List, Tuple
 
 from .term import Struct, Term, Var, map_variables
 
-__all__ = ["FROZEN_PREFIX", "freeze", "freeze_many", "melt", "is_frozen_constant"]
+__all__ = [
+    "FROZEN_PREFIX",
+    "freeze",
+    "freeze_many",
+    "melt",
+    "unfreeze",
+    "is_frozen_constant",
+]
 
 FROZEN_PREFIX = "'$frozen"
 
@@ -86,12 +93,16 @@ def freeze_many(terms: "list[Term]") -> "list[Term]":
 
 
 def melt(term: Term, mapping: Dict[Var, Struct]) -> Term:
-    """Invert :func:`freeze_with_mapping`: constants back to their variables.
+    """Invert :func:`freeze_with_mapping`: constants back to their variables."""
+    return unfreeze(term, {const: var for var, const in mapping.items()})
+
+
+def unfreeze(term: Term, inverse: Dict[Struct, Var]) -> Term:
+    """Replace every constant in ``inverse`` by its variable.
 
     Frozen constants are themselves ground, so — unlike :func:`freeze` —
     melting cannot skip ground subtrees; it walks everything, iteratively.
     """
-    inverse: Dict[Struct, Var] = {const: var for var, const in mapping.items()}
     if not inverse:
         return term
     if isinstance(term, Var):

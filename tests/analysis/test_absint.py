@@ -383,6 +383,16 @@ def test_arithmetic_examples_only_flag_the_failing_query():
     assert "int2nat(pred(0)" in found[0].message
 
 
+def test_success_type_in_messages_does_not_depend_on_earlier_runs():
+    arithmetic = open("examples/programs/arithmetic.tlp").read()
+    other = open("examples/corpus/lint/success_sets.tlp").read()
+    first = lint_text(arithmetic).render().encode("utf-8")
+    lint_text(other)  # draws more fresh variables from the process counter
+    again = lint_text(arithmetic).render().encode("utf-8")
+    assert first == again
+    assert b"the inferred success type 0 + succ(_A0)" in first
+
+
 def test_modes_and_constrained_examples_are_clean():
     for path in ("examples/programs/modes.tlp", "examples/programs/constrained.tlp"):
         text = open(path).read()

@@ -67,6 +67,31 @@ def test_undeclared_symbol_in_clause():
     assert "zork" in module.diagnostics.render()
 
 
+def test_object_term_errors_survive_shared_subterms():
+    # Interned subterms recur across clauses; a subterm that passed is
+    # skipped, but every clause holding an offender is still reported,
+    # and with the first offender in pre-order.
+    module = check_text(
+        """
+        FUNC nil, cons.
+        TYPE elist.
+        elist >= nil.
+        PRED p(elist).
+        p(cons(nil, nil)).
+        p(cons(cons(nil, nil), zork)).
+        p(cons(blip, zork)).
+        p(cons(cons(nil, nil), zork)).
+        """
+    )
+    messages = [d.message for d in module.diagnostics.errors]
+    assert messages == [
+        "symbol zork is not a declared function symbol",
+        "symbol blip is not a declared function symbol",
+        "symbol zork is not a declared function symbol",
+    ]
+    assert len(module.program) == 1
+
+
 def test_type_constructor_in_object_term_rejected():
     module = check_text(
         """

@@ -347,3 +347,26 @@ def test_histograms_merge_across_worker_pools(tmp_path, use):
     assert sum(merged["buckets"].values()) == 6
     assert 0.0 < merged["min_s"] <= merged["max_s"]
     assert merged["p50_s"] <= merged["p99_s"]
+
+
+def test_repeat_passes_neither_reload_nor_rewrite_the_automata_spill(
+    corpus_dir, tmp_path
+):
+    from repro.core.automata import AUTOMATA, SPILL_FILENAME
+
+    cache = ResultCache(str(tmp_path / "cache"))
+    batch(corpus_dir, cache)
+    spill = tmp_path / "cache" / SPILL_FILENAME
+    assert spill.exists()  # a first pass into a directory always spills
+    written = spill.stat().st_mtime_ns
+    spills, loads = AUTOMATA.spills, AUTOMATA.loads
+
+    # An edited member under the same declarations: a fresh check, but
+    # no new automaton, so nothing to read back or write out again.
+    (corpus_dir / "append.tlp").write_text(
+        (corpus_dir / "append.tlp").read_text() + "\n"
+    )
+    again = batch(corpus_dir, cache)
+    assert again.files_checked == 1
+    assert (AUTOMATA.spills, AUTOMATA.loads) == (spills, loads)
+    assert spill.stat().st_mtime_ns == written
