@@ -45,7 +45,7 @@ completion the paper's concluding remarks call for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from ...core.declarations import ConstraintSet
 from ...core.subtype import SubtypeEngine
@@ -71,17 +71,27 @@ def _holes(arity: int) -> Tuple[Term, ...]:
     return tuple(Var(f"_H{index}") for index in range(arity))
 
 
-def canonical(term: Term, stem: str = "_A") -> Term:
+def canonical(
+    term: Term, stem: str = "_A", avoid: AbstractSet[Var] = frozenset()
+) -> Term:
     """Rename variables to ``_A0, _A1, …`` in order of first appearance,
     so α-equivalent terms become syntactically equal (the join's dedupe
-    and the fixpoint's change detection both rely on this)."""
+    and the fixpoint's change detection both rely on this).  Numbers
+    whose name is in ``avoid`` are skipped, so a rendered term never
+    reuses a variable name shown beside it."""
     mapping: Dict[Var, Var] = {}
+    counter = 0
 
     def walk(node: Term) -> Term:
+        nonlocal counter
         if isinstance(node, Var):
             renamed = mapping.get(node)
             if renamed is None:
-                renamed = Var(f"{stem}{len(mapping)}")
+                renamed = Var(f"{stem}{counter}")
+                counter += 1
+                while renamed in avoid:
+                    renamed = Var(f"{stem}{counter}")
+                    counter += 1
                 mapping[node] = renamed
             return renamed
         if node.ground:

@@ -75,11 +75,14 @@ from .domain import SuccessSet, TypeDomain, canonical
 __all__ = ["ProgramInference", "GoalVerdict"]
 
 
-def _shown(renamed: Struct, position: int) -> str:
+def _shown(renamed: Struct, position: int, beside: Term) -> str:
     """Component ``position`` of a renamed-apart tuple, for a message:
     variables numbered by first appearance in the whole tuple, so the
-    text does not depend on the process-wide fresh-variable counter."""
-    return pretty(canonical(renamed).args[position])  # type: ignore[union-attr]
+    text does not depend on the process-wide fresh-variable counter, and
+    named apart from the variables of ``beside``, the user's term the
+    message shows with it."""
+    shown = canonical(renamed, avoid=variables_of(beside))
+    return pretty(shown.args[position])  # type: ignore[union-attr]
 
 
 class GoalVerdict:
@@ -322,7 +325,8 @@ class ProgramInference:
                     GoalVerdict.FAIL,
                     reason=(
                         f"argument {pretty(argument)} never matches the "
-                        f"{source} success type {_shown(renamed, position)}"
+                        f"{source} success type "
+                        f"{_shown(renamed, position, goal)}"
                     ),
                 )
             if outcome.result is MATCH_BOTTOM:
@@ -446,7 +450,7 @@ class ProgramInference:
                 if outcome.result is MATCH_FAIL:
                     return (
                         f"head argument {pretty(argument)} never matches its "
-                        f"declared type {_shown(renamed, position)}"
+                        f"declared type {_shown(renamed, position, argument)}"
                     )
         return None
 

@@ -291,6 +291,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     METRICS.enabled = True
     try:
         exit_code = _run(arguments)
+        obs.publish_runtime_gauges()
         print(file=sys.stderr)
         print(obs.render_summary(), file=sys.stderr)
         return exit_code

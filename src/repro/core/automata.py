@@ -18,7 +18,11 @@ node ids:
   determinized state is a frozenset of NFA states, transitions are
   memoized in a table keyed by ``(functor, arity, child-state-tuple)``,
   and every interned term node caches its determinized state — so a
-  re-query over shared subtrees is one dict probe per *new* node.
+  re-query over shared subtrees is one dict probe per *new* node.  A new
+  transition is read off a per-``(functor, arity)`` rule index: for each
+  argument position, a bitmask of the rules that accept a given NFA
+  state there, so the rules that fire are an AND over positions of ORs
+  over each child's determinized state, never a scan of every rule.
 * ground ``subtype(σ, τ)`` — a product construction over pairs of
   interned nodes: the same AND-OR dag the deterministic engine walks
   (Theorems 1–2), but memoized in a process-lifetime pair table, with
@@ -125,7 +129,7 @@ class _Generation:
     which the old tables decide correctly).
     """
 
-    __slots__ = ("node_states", "dstate_ids", "dsets", "transitions")
+    __slots__ = ("node_states", "dstate_ids", "dsets", "transitions", "masks")
 
     def __init__(self) -> None:
         #: interned term node -> determinized state id (or _IMPURE).
@@ -136,6 +140,37 @@ class _Generation:
         self.dsets: List[FrozenSet[Struct]] = []
         #: (functor, arity, child-state-ids) -> determinized state id.
         self.transitions: Dict[Tuple[str, int, Tuple[int, ...]], int] = {}
+        #: (functor, arity) -> (the rule index the masks were read from,
+        #: per position: determinized state id -> OR of its states' masks).
+        self.masks: Dict[Tuple[str, int], Tuple["_RuleIndex", List[Dict[int, int]]]] = {}
+
+
+class _RuleIndex:
+    """Bitmask index over the rules of one ``(functor, arity)``.
+
+    Bit ``i`` stands for the ``i``-th rule of the list; ``by_position[p]``
+    maps an NFA state to the mask of the rules whose ``p``-th child type
+    is that state.  Built from one ``changes`` value of the rule list and
+    rebuilt when that value moves on.
+    """
+
+    __slots__ = ("changes", "targets", "by_position", "everything")
+
+    def __init__(
+        self,
+        rows: List[Tuple[Tuple[Term, ...], Struct]],
+        arity: int,
+        changes: int,
+    ) -> None:
+        self.changes = changes
+        self.targets = [target for _children, target in rows]
+        self.by_position: List[Dict[Term, int]] = [{} for _ in range(arity)]
+        for bit, (children, _target) in enumerate(rows):
+            mask = 1 << bit
+            for table, child in zip(self.by_position, children):
+                table[child] = table.get(child, 0) | mask
+        #: every rule: the AND over no positions (nullary symbols).
+        self.everything = (1 << len(rows)) - 1
 
 
 class _PairFrame:
@@ -175,6 +210,10 @@ class TreeAutomaton:
         self._states: Set[Struct] = set()
         #: (functor, arity) -> [(child type tuple, target state), ...].
         self._rules: Dict[Tuple[str, int], List[Tuple[Tuple[Term, ...], Struct]]] = {}
+        #: (functor, arity) -> count of appends and removals on its rule
+        #: list, and the bitmask index last built from it.
+        self._rule_changes: Dict[Tuple[str, int], int] = {}
+        self._index: Dict[Tuple[str, int], _RuleIndex] = {}
         self._refused: Set[Struct] = set()
         self._saturated = False
         #: ground constructor-headed type -> its one-step expansions.
@@ -192,6 +231,7 @@ class TreeAutomaton:
         self.refusals = 0
         self.flushes = 0
         self.evictions = 0
+        self.transitions_computed = 0
         # Seed the universe with every nullary constructor type (cheap,
         # and the common roots — nat, int, ... — start registered).
         for name, arity in self.symbols.type_constructors.items():
@@ -296,6 +336,7 @@ class TreeAutomaton:
                         key = (member.functor, len(member.args))
                         entry = (member.args, state)
                         self._rules.setdefault(key, []).append(entry)
+                        self._rule_changes[key] = self._rule_changes.get(key, 0) + 1
                         added_rules.append((key, entry))
                         for child in member.args:
                             assert isinstance(child, Struct)
@@ -304,6 +345,7 @@ class TreeAutomaton:
             except _BudgetExceeded:
                 for key, entry in added_rules:
                     self._rules[key].remove(entry)
+                    self._rule_changes[key] += 1
                 for state in added_states:
                     self._states.discard(state)
                 if len(self._states) >= self.max_states:
@@ -321,27 +363,65 @@ class TreeAutomaton:
 
     # -- the determinized membership run -------------------------------------
 
+    def _rule_index(self, functor: str, arity: int) -> Optional[_RuleIndex]:
+        """The bitmask index of ``(functor, arity)``'s rules, rebuilt when
+        the rule list changed since it was built (callers hold the lock);
+        ``None`` when no rule has that symbol."""
+        key = (functor, arity)
+        rows = self._rules.get(key)
+        if not rows:
+            return None
+        changes = self._rule_changes.get(key, 0)
+        index = self._index.get(key)
+        if index is None or index.changes != changes:
+            index = self._index[key] = _RuleIndex(rows, arity, changes)
+        return index
+
     def _transition(
         self,
         gen: _Generation,
         key: Tuple[str, int, Tuple[int, ...]],
     ) -> int:
-        """Compute (and memoize) one determinized transition."""
+        """Compute (and memoize) one determinized transition.
+
+        The rules that fire are those whose every child type lies in the
+        matching child dstate: per position, the OR of the masks of that
+        dstate's NFA states (cached for the generation), ANDed over the
+        positions."""
         with self._lock:
             cached = gen.transitions.get(key)
             if cached is not None:
                 return cached
+            self.transitions_computed += 1
             functor, arity, child_ids = key
             dsets = gen.dsets
             result: Set[Struct] = set()
-            for children, target in self._rules.get((functor, arity), ()):
-                if target in result:
-                    continue
-                for child, child_id in zip(children, child_ids):
-                    if child not in dsets[child_id]:
+            index = self._rule_index(functor, arity)
+            if index is not None:
+                entry = gen.masks.get((functor, arity))
+                if entry is None or entry[0] is not index:
+                    entry = gen.masks[(functor, arity)] = (
+                        index,
+                        [{} for _ in range(arity)],
+                    )
+                fired = index.everything
+                for table, cache, child_id in zip(
+                    index.by_position, entry[1], child_ids
+                ):
+                    mask = cache.get(child_id)
+                    if mask is None:
+                        mask = 0
+                        for state in dsets[child_id]:
+                            mask |= table.get(state, 0)
+                        cache[child_id] = mask
+                    fired &= mask
+                    if not fired:
                         break
-                else:
-                    result.add(target)
+                targets = index.targets
+                while fired:
+                    low = fired & -fired
+                    result.add(targets[low.bit_length() - 1])
+                    fired ^= low
             frozen = frozenset(result)
             state_id = gen.dstate_ids.get(frozen)
             if state_id is None:
@@ -605,6 +685,7 @@ class TreeAutomaton:
             "rules": sum(len(rows) for rows in self._rules.values()),
             "dstates": len(gen.dsets),
             "transitions": len(gen.transitions),
+            "transitions_computed": self.transitions_computed,
             "node_entries": len(gen.node_states),
             "pair_entries": len(self._pair),
             "match_entries": len(self._match_memo) + len(self._cmatch_memo),
@@ -620,7 +701,8 @@ class TreeAutomaton:
     def __getstate__(self) -> Dict[str, object]:
         # Spill the compiled structure only.  The per-term caches key on
         # arbitrarily deep terms (recursive pickling) and rebuild in one
-        # walk; the lock is process-local.
+        # walk; the rule index rebuilds on first use; the lock is
+        # process-local.
         with self._lock:
             return {
                 "constraints": self.constraints,
@@ -644,6 +726,8 @@ class TreeAutomaton:
         self._lock = threading.RLock()
         self._states = state["states"]  # type: ignore[assignment]
         self._rules = state["rules"]  # type: ignore[assignment]
+        self._rule_changes = {}
+        self._index = {}
         self._refused = state["refused"]  # type: ignore[assignment]
         self._saturated = state["saturated"]  # type: ignore[assignment]
         self._expansions = state["expansions"]  # type: ignore[assignment]
@@ -657,6 +741,7 @@ class TreeAutomaton:
         self.refusals = 0
         self.flushes = 0
         self.evictions = 0
+        self.transitions_computed = 0
 
 
 class AutomataStore:
@@ -757,6 +842,9 @@ class AutomataStore:
                 "rules": sum(s["rules"] for s in per),
                 "dstates": sum(s["dstates"] for s in per),
                 "transitions": sum(s["transitions"] for s in per),
+                "transitions_computed": sum(
+                    s["transitions_computed"] for s in per
+                ),
                 "cache_entries": sum(
                     s["node_entries"] + s["pair_entries"] + s["match_entries"]
                     for s in per
@@ -764,6 +852,7 @@ class AutomataStore:
                 "holds_calls": sum(s["holds_calls"] for s in per),
                 "match_calls": sum(s["match_calls"] for s in per),
                 "refusals": sum(s["refusals"] for s in per),
+                "flushes": sum(s["flushes"] for s in per),
                 "compiles": self.compiles,
                 "rejections": self.rejections,
                 "attachments": self.attachments,

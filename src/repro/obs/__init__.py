@@ -175,6 +175,10 @@ def publish_runtime_gauges() -> None:
     METRICS.gauge("subtype.automaton.scopes", automata["scopes"])
     METRICS.gauge("subtype.automaton.states", automata["states"])
     METRICS.gauge("subtype.automaton.transitions", automata["transitions"])
+    METRICS.gauge(
+        "subtype.automaton.transitions_computed", automata["transitions_computed"]
+    )
+    METRICS.gauge("subtype.automaton.flushes", automata["flushes"])
     METRICS.gauge("subtype.automaton.cache_entries", automata["cache_entries"])
     METRICS.gauge("subtype.automaton.compiled", automata["compiles"])
     METRICS.gauge("subtype.automaton.attachments", automata["attachments"])
@@ -218,7 +222,9 @@ def runtime_stats_lines() -> "list[str]":
     automata_line = (
         f"tree automata: {automata['scopes']} compiled scope(s), "
         f"{automata['states']} state(s), {automata['transitions']} "
-        f"transition(s), {automata['attachments']} attachment(s){rate}"
+        f"transition(s) ({automata['transitions_computed']} computed, "
+        f"{automata['flushes']} flush(es)), {automata['attachments']} "
+        f"attachment(s){rate}"
     )
     return [intern_line, memo_line, automata_line]
 

@@ -516,6 +516,10 @@ class CheckService:
         gauges["subtype.automaton.scopes"] = automata["scopes"]
         gauges["subtype.automaton.states"] = automata["states"]
         gauges["subtype.automaton.transitions"] = automata["transitions"]
+        gauges["subtype.automaton.transitions_computed"] = automata[
+            "transitions_computed"
+        ]
+        gauges["subtype.automaton.flushes"] = automata["flushes"]
         gauges["subtype.automaton.cache_entries"] = automata["cache_entries"]
         gauges["subtype.automaton.attachments"] = automata["attachments"]
         return gauges

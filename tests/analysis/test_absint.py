@@ -393,6 +393,45 @@ def test_success_type_in_messages_does_not_depend_on_earlier_runs():
     assert b"the inferred success type 0 + succ(_A0)" in first
 
 
+def test_success_type_names_never_reuse_a_user_variable_in_the_message():
+    arithmetic = open("examples/programs/arithmetic.tlp").read()
+    text = arithmetic + (
+        ":- int2nat(pred(_A0), R).\n"
+        "PRED wrap(nat).\n"
+        "wrap(R) :- int2nat(pred(_A0), R).\n"
+    )
+    messages = [
+        d.message
+        for d in codes(text, "TLP401", "TLP402")
+        if "pred(_A0)" in d.message
+    ]
+    assert len(messages) == 3 and all(
+        message.endswith("the inferred success type 0 + succ(_A1)")
+        for message in messages
+    ), messages
+    # The query without a user _A0 keeps the first-appearance numbering.
+    assert any(
+        d.message.endswith("success type 0 + succ(_A0)")
+        and "pred(0)" in d.message
+        for d in codes(text, "TLP402")
+    )
+
+
+def test_declared_type_names_never_reuse_a_user_variable_in_the_message():
+    text = (
+        "FUNC nil, cons, 0.\n"
+        "TYPE list.\n"
+        "list(A) >= nil + cons(A, list(A)).\n"
+        "PRED first(list(A), list(A)).\n"
+        "first(nil, nil).\n"
+        "first(X, cons(_A0, 0)).\n"
+    )
+    [dead] = codes(text, "TLP401")
+    assert dead.message.endswith(
+        "head argument cons(_A0, 0) never matches its declared type list(_A1)"
+    ), dead.message
+
+
 def test_modes_and_constrained_examples_are_clean():
     for path in ("examples/programs/modes.tlp", "examples/programs/constrained.tlp"):
         text = open(path).read()

@@ -455,3 +455,130 @@ def test_ensure_version_change_drops_automata(store):
     store.ensure_version("b")
     assert store.stats()["scopes"] == 0
     assert store.invalidations == 1
+
+
+# -- indexed transitions vs the linear rule scan --------------------------------
+
+
+class _LinearScan(TreeAutomaton):
+    """The automaton with each transition computed by scanning every rule
+    of its ``(functor, arity)`` — the reference for the bitmask index."""
+
+    def _transition(self, gen, key):
+        with self._lock:
+            cached = gen.transitions.get(key)
+            if cached is not None:
+                return cached
+            state_id = _dstate_id(gen, _scan(self, gen, key))
+            gen.transitions[key] = state_id
+            return state_id
+
+
+def _scan(automaton, gen, key):
+    functor, arity, child_ids = key
+    result = set()
+    for children, target in automaton._rules.get((functor, arity), ()):
+        if all(
+            child in gen.dsets[child_id]
+            for child, child_id in zip(children, child_ids)
+        ):
+            result.add(target)
+    return frozenset(result)
+
+
+def _dstate_id(gen, states):
+    state_id = gen.dstate_ids.get(states)
+    if state_id is None:
+        state_id = len(gen.dsets)
+        gen.dsets.append(states)
+        gen.dstate_ids[states] = state_id
+    return state_id
+
+
+def _universes(seed, count=8):
+    rng = random.Random(seed)
+    for _ in range(count):
+        cset = random_guarded_constraint_set(
+            rng, type_count=8, max_constructor_arity=3
+        )
+        if AutomataStore().automaton_for(cset) is not None:
+            yield rng, cset
+
+
+def _query_plan(rng, cset, count=12):
+    plan = []
+    for _ in range(count):
+        sup, sub = random_subtype_pair(rng, cset)
+        plan.append((sup, sub))
+        member = random_ground_member(rng, cset, sup)
+        if member is not None:
+            plan.append((sup, member))
+    return plan
+
+
+def _assert_same_transitions(indexed, linear):
+    """Key for key, the same dstate id and the same NFA-state set — and
+    every indexed entry is what the linear scan computes on its tables."""
+    gen, reference = indexed._gen, linear._gen
+    assert gen.transitions == reference.transitions
+    assert gen.dsets == reference.dsets
+    for key, state_id in gen.transitions.items():
+        assert gen.dsets[state_id] == _scan(indexed, gen, key), key
+
+
+def _drive(indexed, linear, plan):
+    for sup, sub in plan:
+        assert indexed.holds(sup, sub) == linear.holds(sup, sub), (sup, sub)
+        _assert_same_transitions(indexed, linear)
+
+
+def test_indexed_transitions_match_the_linear_scan_across_root_growth():
+    flushes = computed = 0
+    for rng, cset in _universes(2401):
+        indexed, linear = TreeAutomaton(cset), _LinearScan(cset)
+        _drive(indexed, linear, _query_plan(rng, cset))
+        assert indexed.flushes == linear.flushes
+        flushes += indexed.flushes
+        computed += indexed.transitions_computed
+    # Roots registered after transitions were computed grew the universe
+    # (a flush), and the new generation's transitions were recomputed.
+    assert flushes > 0 and computed > 0
+
+
+def test_indexed_transitions_match_the_linear_scan_after_budget_rollbacks():
+    rollbacks = 0
+    for rng, cset in _universes(2402):
+        indexed = TreeAutomaton(cset, root_state_budget=4)
+        linear = _LinearScan(cset, root_state_budget=4)
+        _drive(indexed, linear, _query_plan(rng, cset))
+        assert indexed.refusals == linear.refusals
+        # A rule list that was appended to and rolled back has counted
+        # more changes than it holds rules.
+        rollbacks += sum(
+            1
+            for key, changes in indexed._rule_changes.items()
+            if changes > len(indexed._rules[key])
+        )
+    assert rollbacks > 0
+
+
+def test_indexed_transitions_match_the_linear_scan_after_a_spill(tmp_path):
+    spilled = 0
+    for rng, cset in _universes(2403, count=5):
+        writer = AutomataStore()
+        writer.ensure_version("differential")
+        indexed = writer.automaton_for(cset)
+        linear = _LinearScan(cset)
+        _drive(indexed, linear, _query_plan(rng, cset, count=6))
+        assert indexed._index  # built by the queries above
+        assert "_index" not in indexed.__getstate__()
+        directory = tmp_path / str(spilled)
+        assert writer.save_spill(directory) is not None
+        reader = AutomataStore()
+        reader.ensure_version("differential")
+        assert reader.load_spill(directory) == 1
+        restored = reader.automaton_for(cset)
+        assert reader.compiles == 0 and not restored._index
+        _drive(restored, pickle.loads(pickle.dumps(linear)), _query_plan(rng, cset))
+        spilled += 1
+    assert spilled > 0

@@ -15,6 +15,7 @@ def test_tlp_check_stats_reports_automata_state(tmp_path, capsys):
     assert main([str(path), "--stats"]) == 0
     out = capsys.readouterr().out
     assert "tree automata:" in out and "compiled scope(s)" in out
+    assert " computed, " in out and "flush(es)" in out
 
 
 def test_runtime_stats_lines_cover_automata():
@@ -34,6 +35,8 @@ def test_publish_runtime_gauges_exports_automaton_gauges():
         exposition = obs.prometheus_text()
         assert "tlp_subtype_automaton_scopes" in exposition
         assert "tlp_subtype_automaton_states" in exposition
+        assert "tlp_subtype_automaton_flushes" in exposition
+        assert "tlp_subtype_automaton_transitions_computed" in exposition
     finally:
         obs.METRICS.disable()
 
@@ -49,6 +52,8 @@ def test_daemon_health_embeds_automata_stats():
         "transitions",
         "cache_entries",
         "attachments",
+        "flushes",
+        "transitions_computed",
     }
     assert automata["scopes"] >= 1
 
@@ -57,3 +62,40 @@ def test_daemon_runtime_gauges_include_automata():
     gauges = CheckService()._runtime_gauges()
     assert "subtype.automaton.scopes" in gauges
     assert "subtype.automaton.states" in gauges
+    assert "subtype.automaton.flushes" in gauges
+    assert "subtype.automaton.transitions_computed" in gauges
+
+
+def test_store_stats_add_up_flushes_and_computed_transitions():
+    from repro.core.automata import AutomataStore
+    from repro.lang import parse_term
+    from repro.workloads import deep_nat, paper_universe
+
+    store = AutomataStore()
+    automaton = store.automaton_for(paper_universe())
+    automaton.holds(parse_term("nat"), deep_nat(4))
+    automaton.holds(parse_term("list(nat)"), parse_term("cons(0, nil)"))
+    per = automaton.stats()
+    total = store.stats()
+    assert per["flushes"] > 0  # list(nat) grew the universe
+    assert total["flushes"] == per["flushes"]
+    assert total["transitions_computed"] == per["transitions_computed"]
+    # Every live transition was computed; a flush discarded the others.
+    assert total["transitions_computed"] > total["transitions"] > 0
+
+
+def test_tlp_lint_stats_reports_automaton_gauges(capsys):
+    import re
+
+    from repro.analysis.cli import main
+
+    assert main(["--stats", "examples/corpus/lint"]) == 1  # seeded defects
+    err = capsys.readouterr().err
+
+    def gauge(name):
+        found = re.search(rf"^\s*subtype\.automaton\.{name}\s+([\d,]+)\s*$", err, re.M)
+        assert found, f"subtype.automaton.{name} missing from --stats"
+        return int(found.group(1).replace(",", ""))
+
+    assert gauge("flushes") > 0
+    assert gauge("transitions_computed") >= gauge("transitions") > 0
