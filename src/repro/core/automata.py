@@ -52,7 +52,8 @@ product construction then decides those pairs by the plain AND-OR walk,
 still memoized.  The store has no off switch: an engine built with
 ``automata=False`` (``SubtypeEngine``, ``Matcher``, ``ConstraintMatcher``)
 never attaches and runs the template-expansion path, which is how the
-differential tests and ``benchmarks/bench_automata.py`` reach it.
+differential tests and the ``automata.*.fallback`` rows of
+``benchmarks/summary.py`` reach it.
 
 Sharing and persistence
 -----------------------
@@ -299,10 +300,13 @@ class TreeAutomaton:
         """Ensure ``root`` (ground type term) is an NFA state.
 
         Registration is transactional: when the per-root budget or the
-        global state cap is exceeded every state and rule added for this
-        root is rolled back and the root is refused — a partially
-        registered root would silently lose rules and turn into wrong
-        (false-negative) acceptance answers.
+        global state cap is exceeded every rule added for this root is
+        rolled back and the root is refused — a partially registered root
+        would silently lose rules and turn into wrong (false-negative)
+        acceptance answers.  New states are collected locally and
+        published into ``_states`` only after their rules and the new
+        generation are in place, so a reader that passes the unlocked
+        fast path never walks a generation that lacks the root's rules.
         """
         if root in self._states:  # racy fast path; revalidated under lock
             return True
@@ -316,22 +320,22 @@ class TreeAutomaton:
                 self._refused.add(root)
                 self.refusals += 1
                 return False
-            added_states: List[Struct] = []
+            states = self._states
+            added_states: Set[Struct] = set()
             added_rules: List[Tuple[Tuple[str, int], Tuple[Tuple[Term, ...], Struct]]] = []
             budget = self.root_state_budget
             try:
                 stack: List[Struct] = [root]
                 while stack:
                     state = stack.pop()
-                    if state in self._states:
+                    if state in states or state in added_states:
                         continue
                     if (
                         len(added_states) >= budget
-                        or len(self._states) >= self.max_states
+                        or len(states) + len(added_states) >= self.max_states
                     ):
                         raise _BudgetExceeded
-                    self._states.add(state)
-                    added_states.append(state)
+                    added_states.add(state)
                     for member in self._f_closure(state, budget):
                         key = (member.functor, len(member.args))
                         entry = (member.args, state)
@@ -340,15 +344,13 @@ class TreeAutomaton:
                         added_rules.append((key, entry))
                         for child in member.args:
                             assert isinstance(child, Struct)
-                            if child not in self._states:
+                            if child not in states and child not in added_states:
                                 stack.append(child)
             except _BudgetExceeded:
                 for key, entry in added_rules:
                     self._rules[key].remove(entry)
                     self._rule_changes[key] += 1
-                for state in added_states:
-                    self._states.discard(state)
-                if len(self._states) >= self.max_states:
+                if len(states) >= self.max_states:
                     self._saturated = True
                 self._refused.add(root)
                 self.refusals += 1
@@ -356,9 +358,11 @@ class TreeAutomaton:
             if added_states:
                 # The determinized tables were computed against the old
                 # universe; swap in a fresh generation (never mutate the
-                # old one — in-flight walks hold references to it).
+                # old one — in-flight walks hold references to it), then
+                # publish the states.
                 self._gen = _Generation()
                 self.flushes += 1
+                states |= added_states
             return True
 
     # -- the determinized membership run -------------------------------------

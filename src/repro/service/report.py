@@ -7,12 +7,11 @@ utilisation, the top-N slowest files, and — when the run was observed —
 summaries of every latency histogram the registry collected
 (p50/p90/p99/min/max per metric, no raw buckets).
 
-Producers: ``tlp-batch --report FILE`` and
-``benchmarks/bench_batch.py``.  Consumers: ``benchmarks/summary.py``
-(embeds the report in its payload) and
-``benchmarks/check_regression.py --run-report`` (gates on the cache hit
-rate).  The ``schema`` field versions the contract; consumers should
-reject reports whose major scheme they do not know.
+Producers: ``tlp-batch --report FILE`` and ``benchmarks/summary.py``
+(embeds its warm batch pass's report in its ``--json`` document).
+Consumer: ``benchmarks/summary.py --run-report FILE`` (gates on the
+cache hit rate).  The ``schema`` field versions the contract; consumers
+should reject reports whose major scheme they do not know.
 """
 
 from __future__ import annotations

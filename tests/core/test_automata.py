@@ -8,6 +8,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,45 @@ def test_budget_refused_root_still_answers_correctly():
             f"{sup_text} >= {sub_text}"
         )
     assert tiny.stats()["refusals"] > 0
+
+
+def test_reader_never_walks_a_registration_in_progress():
+    # A reader whose root another thread is registering must not take the
+    # lock-free fast path before the root's rules and generation exist: it
+    # would walk the old generation and cache a wrong False in _pair.
+    automaton = TreeAutomaton(paper_universe())
+    nat, list_nat, term = T("nat"), T("list(nat)"), T("cons(0, nil)")
+    # Puts cons(0, nil)'s node state in the current generation, so the
+    # reader's walk over it needs no lock.
+    assert automaton.holds(nat, term) is False
+    paused, release = threading.Event(), threading.Event()
+    original = automaton._f_closure
+
+    def pausing_closure(state, budget):
+        if state == list_nat:
+            paused.set()
+            assert release.wait(timeout=10)
+        return original(state, budget)
+
+    automaton._f_closure = pausing_closure
+    verdicts = []
+    writer = threading.Thread(target=automaton._register, args=(list_nat,))
+    reader = threading.Thread(
+        target=lambda: verdicts.append(automaton.holds(list_nat, term))
+    )
+    writer.start()
+    try:
+        assert paused.wait(timeout=10), "writer never reached list(nat)'s closure"
+        reader.start()
+        reader.join(timeout=0.2)  # the reader blocks on the lock until released
+    finally:
+        release.set()
+    writer.join(timeout=10)
+    reader.join(timeout=10)
+    assert not writer.is_alive() and not reader.is_alive()
+    assert verdicts == [True]
+    assert automaton.holds(list_nat, term) is True
+    assert TreeAutomaton(paper_universe()).holds(list_nat, term) is True
 
 
 def test_frozen_constant_roots_are_refused_not_wrong(store):
