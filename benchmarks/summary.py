@@ -224,6 +224,18 @@ def paper_group(quick: bool, scratch: Path) -> Group:
     result = runner.run(query, check_answers=True)
     assert result.ok and not result.violations
 
+    # Insertion sort of a descending list: every insert walks the partial
+    # output list, so each step binds a tail goal's list variable.
+    sort_length = 16 if quick else 32
+    isort = load("insertion_sort")
+    sort_runner = TypedRunner(isort.checker, isort.program)
+    descending = Struct("nil", ())
+    for value in range(sort_length):
+        descending = Struct("cons", (deep_nat(value), descending))
+    sort_query = Query((Struct("isort", (descending, Var("S"))),))
+    sorted_result = sort_runner.run(sort_query, depth_limit=None)
+    assert sorted_result.ok and len(sorted_result.answers) == 1
+
     builder = DerivationBuilder(paper_universe())
     list_a, cons_foo = T("list(A)"), T("cons(foo,nil)")
     derivation = builder.derive(list_a, cons_foo)
@@ -259,6 +271,13 @@ def paper_group(quick: bool, scratch: Path) -> Group:
                 f"E7 + per-resolvent re-check ({result.steps} resolvents)",
                 "warm",
                 lambda: runner.run(query, check_answers=True),
+            ),
+            Bench(
+                f"sld.typed_run.isort.{sort_length}",
+                f"E7 typed insertion sort, {sort_length}-element descending list "
+                f"({sorted_result.steps} resolvents)",
+                "warm",
+                lambda: sort_runner.run(sort_query, depth_limit=None),
             ),
             Bench(
                 "derivation.section2",

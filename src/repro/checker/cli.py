@@ -86,7 +86,11 @@ def _build_argument_parser() -> argparse.ArgumentParser:
         "--depth-limit",
         type=int,
         default=10_000,
-        help="resolution depth bound with --run (default 10000)",
+        help=(
+            "resolution depth bound with --run/--typed-run (default 10000); "
+            "a query with no answer whose search the bound cut off says so "
+            "instead of 'no.'"
+        ),
     )
     parser.add_argument(
         "--lint",
@@ -192,7 +196,7 @@ def _run_queries(module, max_answers: int, depth_limit: int) -> int:
                 query.goals, max_answers=max_answers, depth_limit=depth_limit
             )
             if not c_result.answers:
-                print("   no.")
+                _print_no_answer(c_result, depth_limit)
             for c_answer in c_result.answers:
                 _print_answer(c_answer.substitution)
                 for residue in c_answer.residual:
@@ -206,7 +210,7 @@ def _run_queries(module, max_answers: int, depth_limit: int) -> int:
             check_answers=True,
         )
         if not result.answers:
-            print("   no.")
+            _print_no_answer(result, depth_limit)
         for answer in result.answers:
             _print_answer(answer)
         if not result.ok:
@@ -237,7 +241,7 @@ def _typed_run_queries(path: str, module, arguments) -> int:
             depth_limit=arguments.depth_limit,
         )
         if not result.answers:
-            print("   no.")
+            _print_no_answer(result, arguments.depth_limit)
         for answer in result.answers:
             _print_answer(answer)
         if result.violation is not None:
@@ -260,6 +264,15 @@ def _typed_run_queries(path: str, module, arguments) -> int:
                 f"resolvent(s)."
             )
     return aborted
+
+
+def _print_no_answer(result, depth_limit: int) -> None:
+    """``no.`` for a query with no answer, unless the depth bound pruned
+    the search: then the answer may lie beyond the bound, so say that."""
+    if result.hit_depth_limit:
+        print(f"   no answer within --depth-limit {depth_limit}: the search was cut off.")
+    else:
+        print("   no.")
 
 
 def _print_answer(answer) -> None:

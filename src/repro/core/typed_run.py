@@ -19,9 +19,12 @@ declarations are present, the strict Definition 16
 the runner **aborts** at the first violated resolvent; the recorded
 :class:`SubjectReductionViolation` carries the step index, the
 offending resolvent, and the checker's reason, and the CLI renders it
-as a span-carrying diagnostic under :data:`TYPED_RUN_CODE`.  Without
-the abort it collects every violation and, on request, re-checks each
-answer-instantiated query as well.
+as a span-carrying diagnostic under :data:`TYPED_RUN_CODE`, with the
+generated variables renumbered so that the same run renders the same
+bytes however often it is repeated.  Without the abort it collects every
+violation and, on request, re-checks each answer-instantiated query as
+well.  :attr:`TypedRunResult.hit_depth_limit` tells a query with no
+answer from one whose search the depth bound cut off.
 
 The re-check follows the proof of Theorem 6 rather than re-solving
 Definition 16 for the whole goal tuple.  Each SLD frame carries the
@@ -29,8 +32,10 @@ accepted resolvent's witness (:class:`~repro.core.welltyped.ResolventTyping`);
 the next step hands it, the selected clause's strict typing (computed
 once per clause, on first use) and the mgu to ``check_resolvent``, which
 instantiates the clause's commitments by the selected goal's ``η``,
-keeps the witnesses of goals the mgu left unchanged, and re-matches only
-new or changed goals.  The query itself is checked once, before the
+matches the new body goals, keeps the witnesses of goals the mgu left
+unchanged, and re-types a goal the mgu rebuilt from its bindings alone
+(Lemma 2: one ``match`` per bound variable, not per goal), so a step
+costs what the mgu bound.  The query itself is checked once, before the
 first step, so that its witness seeds the first frame.  A step with
 nothing to carry — a clause that is not strictly well-typed, a parent
 accepted only directionally or rejected — or whose candidate does not
@@ -44,15 +49,17 @@ checker's reason.  On the paper's own examples this does not occur.
 
 Telemetry rides under ``typed_run.*`` (steps, violations,
 answer_violations, queries, answers, aborts, carried and fallbacks —
-resolvents decided by a carried witness or by the full check — and the
+resolvents decided by a carried witness or by the full check — rebound,
+the tail goals a carried step re-typed from their bindings, and the
 ``typed_run.query`` timer) and every step emits a
 :class:`~repro.obs.events.SubjectReductionEvent` when tracing is on.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from ..lp.clause import Clause, Program, Query
 from ..lp.database import Database
@@ -60,7 +67,7 @@ from ..lp.resolution import SLDEngine
 from ..obs import METRICS, TRACER, SubjectReductionEvent
 from ..terms.pretty import pretty
 from ..terms.substitution import Substitution
-from ..terms.term import Struct
+from ..terms.term import Struct, variables_of
 from .moded_welltyped import ModedClauseReport, ModedWellTypedChecker
 from .welltyped import ClauseReport, ClauseTyping, ResolventTyping, WellTypedChecker
 
@@ -76,6 +83,10 @@ __all__ = [
 #: verdict comes from execution, not from a lint pass.
 TYPED_RUN_CODE = "TLP590"
 
+#: A generated variable name: ``fresh_variable``'s ``_`` + capital stem +
+#: counter, as a whole word.
+_GENERATED = re.compile(r"(?<![A-Za-z0-9_])_[A-Z][0-9]+(?![A-Za-z0-9_])")
+
 
 @dataclass(frozen=True)
 class SubjectReductionViolation:
@@ -85,13 +96,38 @@ class SubjectReductionViolation:
     goals: Tuple[Struct, ...]  # the offending resolvent
     reason: str  # the checker's rejection reason
     via: Optional[str] = None  # "strict" | "directional" (moded checker only)
+    #: Names of the query's variables: written by the user, never renamed.
+    written: FrozenSet[str] = frozenset()
 
     def render(self) -> str:
+        """The diagnostic text.  Generated variables (``_G17``, ``_E575``:
+        fresh names whose numbers depend on everything the process ran
+        before) are renumbered per stem by first appearance, the same way
+        in the resolvent and the reason, skipping the user's names, so a
+        run gives the same bytes however often it is repeated."""
         resolvent = ", ".join(pretty(goal) for goal in self.goals)
-        return (
+        text = (
             f"subject reduction violated at resolution step {self.step}: "
             f"resolvent `{resolvent}` is not well-typed — {self.reason}"
         )
+        names: Dict[str, str] = {}
+        counters: Dict[str, int] = {}
+
+        def rename(found: "re.Match[str]") -> str:
+            name = found.group()
+            if name in self.written:
+                return name
+            renamed = names.get(name)
+            if renamed is None:
+                stem = name[:2]
+                number = counters.get(stem, 0)
+                while f"{stem}{number}" in self.written:
+                    number += 1
+                counters[stem] = number + 1
+                renamed = names[name] = f"{stem}{number}"
+            return renamed
+
+        return _GENERATED.sub(rename, text)
 
 
 @dataclass
@@ -104,6 +140,9 @@ class TypedRunResult:
     violations: List[SubjectReductionViolation] = field(default_factory=list)
     #: Answers whose instantiated query failed its re-check, with the reason.
     answer_violations: List[Tuple[Substitution, str]] = field(default_factory=list)
+    #: True iff the depth bound pruned a branch (copied from the SLD engine),
+    #: so a missing answer may lie beyond it.
+    hit_depth_limit: bool = False
 
     @property
     def violation(self) -> Optional[SubjectReductionViolation]:
@@ -169,6 +208,9 @@ class TypedRunner:
         answer (the corollary of Theorem 6).
         """
         result = TypedRunResult(query)
+        written = frozenset(
+            var.name for goal in query.goals for var in variables_of(goal)
+        )
 
         def on_step(
             parent: Optional[ResolventTyping],
@@ -191,6 +233,8 @@ class TypedRunner:
             if METRICS.enabled:
                 carried = strict is not None and strict.carried
                 METRICS.inc("typed_run.carried" if carried else "typed_run.fallbacks")
+                if carried and strict.rebound:  # type: ignore[union-attr]
+                    METRICS.inc("typed_run.rebound", strict.rebound)  # type: ignore[union-attr]
             if TRACER.enabled:
                 TRACER.point(
                     SubjectReductionEvent,
@@ -207,6 +251,7 @@ class TypedRunner:
                 goals=goals,
                 reason=report.reason or "unknown",
                 via=via,
+                written=written,
             )
             if METRICS.enabled:
                 METRICS.inc("typed_run.violations")
@@ -239,6 +284,7 @@ class TypedRunner:
             except _Abort:
                 if METRICS.enabled:
                     METRICS.inc("typed_run.aborts")
+        result.hit_depth_limit = engine.hit_depth_limit
         if METRICS.enabled:
             METRICS.inc("typed_run.answers", len(result.answers))
             METRICS.gauge_max("typed_run.max_steps_per_query", result.steps)

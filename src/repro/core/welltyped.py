@@ -40,14 +40,28 @@ goal's ``η`` instantiates the selected clause's body commitments (Lemma
 1: instantiation propagates through ``match``), the goals the mgu leaves
 alone keep theirs, and Lemma 2 carries the agreement through the mgu.
 :meth:`WellTypedChecker.check_resolvent` accepts the parent resolvent's
-:class:`ResolventTyping`, the clause's :class:`ClauseTyping` and the mgu,
-builds that candidate, and re-runs the plain Definition 13 ``match`` only
-on the goals that are new or changed, checking agreement against the
-carried ``Var → type`` map.  Nothing is trusted: every goal of an
-accepted resolvent has a typing that ``match`` computed under its
-committed type, so the verdict exhibits Definition 16 witnesses exactly
-as step 4 does.  Whenever the candidate does not verify, the full
-four-step check decides.
+:class:`ResolventTyping`, the clause's :class:`ClauseTyping` and the mgu
+``θ``, and builds that candidate:
+
+* a new body goal is matched with the plain Definition 13 ``match``
+  under the clause's committed type, instantiated by the selected goal's
+  ``η`` once per distinct ``η``;
+* a parent goal ``θ`` left the same object keeps its typing;
+* a parent goal ``θ`` rebuilt is re-typed from its bindings, not its
+  text.  By Lemma 2, ``match(τ, tθ)`` is the union of ``match(T(x), xθ)``
+  over the variables ``x`` of ``t``, where ``T = match(τ, t)`` is the
+  carried typing; ``x ∉ dom θ`` keeps ``T(x)``.  Agreement makes ``T(x)``
+  the resolvent-wide type of ``x``, so each bound variable is matched
+  once per step, and a step costs what the mgu bound rather than the
+  size of the goals it touched.
+
+Every typing joins the carried ``Var → type`` map under an agreement
+check.  Nothing is trusted: every binding is matched, so every goal of
+an accepted resolvent has the typing ``match`` gives under its committed
+type (``tests/core/test_typed_run_rebound.py`` compares them goal by
+goal), and the verdict exhibits Definition 16 witnesses exactly as step
+4 does.  Whenever a match gives ``fail`` or ``⊥``, or two typings
+disagree, the candidate is dropped and the full four-step check decides.
 """
 
 from __future__ import annotations
@@ -59,12 +73,12 @@ from ..lp.clause import Clause, Program, Query
 from ..terms.freeze import unfreeze
 from ..terms.pretty import pretty
 from ..terms.substitution import Substitution
-from ..terms.term import Struct, Term, Var, fresh_variable, variables_of
+from ..terms.term import Struct, Term, Var, _variables_frozen, fresh_variable, variables_of
 from ..terms.unify import unify
 from .constraint_match import ConstraintMatcher, CoverConstraint, ShapeEquation
 from .declarations import ConstraintSet, DeclarationError
 from .infer import CommonTypeInference
-from .match import MATCH_BOTTOM, MATCH_FAIL, Matcher, MatchResult
+from .match import MATCH_BOTTOM, MATCH_FAIL, Matcher, MatchResult, remember
 from .predicate_types import PredicateTypeEnv
 from .typing import agreeing_union
 
@@ -130,9 +144,9 @@ class ClauseTyping:
     variables rigid, so ``η_j`` and the committed type may mention them
     (and ``η_j`` leaves out a variable committed to the head variable of
     the same name); the selected goal's ``η`` instantiates them at each
-    resolution step."""
+    resolution step (:meth:`instance`, once per distinct ``η``)."""
 
-    __slots__ = ("variables", "etas", "committed")
+    __slots__ = ("variables", "etas", "committed", "_instances")
 
     def __init__(
         self,
@@ -143,6 +157,33 @@ class ClauseTyping:
         self.variables = variables
         self.etas = etas
         self.committed = committed
+        self._instances: Dict[
+            Substitution, Tuple[Tuple[Substitution, ...], Tuple[Struct, ...]]
+        ] = {}
+
+    def instance(
+        self, selected: Substitution
+    ) -> Tuple[Tuple[Substitution, ...], Tuple[Struct, ...]]:
+        """The body commitments and committed types instantiated by the
+        selected goal's ``η``, computed once per distinct ``η``."""
+        if not len(selected):
+            return self.etas, self.committed
+        cached = self._instances.get(selected)
+        if cached is None:
+            cached = (
+                tuple(
+                    Substitution(
+                        {
+                            var: selected.apply(eta.get(var, var))  # type: ignore[arg-type]
+                            for var in variables
+                        }
+                    )
+                    for variables, eta in zip(self.variables, self.etas)
+                ),
+                tuple(selected.apply(type_term) for type_term in self.committed),  # type: ignore[misc]
+            )
+            remember(self._instances, selected, cached)
+        return cached
 
 
 @dataclass
@@ -157,6 +198,8 @@ class ClauseReport:
     witness: Optional[ResolventTyping] = None
     #: True iff the verdict came from a carried witness, not the full check.
     carried: bool = False
+    #: Parent goals a carried verdict re-typed from the mgu's bindings.
+    rebound: int = 0
 
     def __bool__(self) -> bool:
         return self.well_typed
@@ -413,8 +456,9 @@ class WellTypedChecker:
         ``goals`` is ``(B_1..B_k, A_2..A_n)θ`` for the parent ``A_1..A_n``
         and a clause with ``k`` body atoms.  A new goal ``B_jθ`` is matched
         under the clause's committed type instantiated by the selected
-        goal's ``η_1``; a parent goal keeps its committed type and, when
-        ``θ`` left it the same object, its typing."""
+        goal's ``η_1``.  A parent goal keeps its committed type and, when
+        ``θ`` left it the same object, its typing; a goal ``θ`` rebuilt is
+        re-typed from its bindings (Lemma 2, see :meth:`_rebind`)."""
         body = len(clause.committed)
         parent_goals = parent.goals
         if len(goals) != body + len(parent_goals) - 1:
@@ -423,42 +467,72 @@ class WellTypedChecker:
         for var in mgu:  # bound variables no longer occur in the resolvent
             merged.pop(var, None)
         match = self.matcher.match
-        selected = parent.etas[0]
-        etas: List[Substitution] = []
-        committed: List[Struct] = []
+        etas, committed = clause.instance(parent.etas[0])
         typings: List[Substitution] = []
         for index in range(body):
-            eta = clause.etas[index]
-            type_term = clause.committed[index]
-            if len(selected):
-                eta = Substitution(
-                    {
-                        var: selected.apply(eta.get(var, var))  # type: ignore[arg-type]
-                        for var in clause.variables[index]
-                    }
-                )
-                type_term = selected.apply(type_term)  # type: ignore[assignment]
-            typing = match(type_term, goals[index])
+            typing = match(committed[index], goals[index])
             if not _verified(typing, merged):
                 return None
-            etas.append(eta)
-            committed.append(type_term)
             typings.append(typing)
-        for index in range(1, len(parent_goals)):
-            goal = goals[body + index - 1]
-            type_term = parent.committed[index]
-            typing = parent.typings[index]
-            if goal is not parent_goals[index]:
-                typing = match(type_term, goal)
-                if not _verified(typing, merged):
+        kept = parent.typings[1:]
+        changed = [
+            index
+            for index, goal in enumerate(goals[body:])
+            if goal is not parent_goals[index + 1]
+        ]
+        if changed:
+            kept = list(kept)
+            rebound: Dict[Var, Substitution] = {}
+            for index in changed:
+                typing = self._rebind(parent_goals[index + 1], kept[index], mgu, merged, rebound)
+                if typing is None:
                     return None
-            etas.append(parent.etas[index])
-            committed.append(type_term)
-            typings.append(typing)
+                kept[index] = typing
         witness = ResolventTyping(
-            goals, tuple(etas), tuple(committed), tuple(typings), merged
+            goals,
+            etas + parent.etas[1:],
+            committed + parent.committed[1:],
+            tuple(typings) + tuple(kept),
+            merged,
         )
-        return ClauseReport(well_typed=True, witness=witness, carried=True)
+        return ClauseReport(
+            well_typed=True, witness=witness, carried=True, rebound=len(changed)
+        )
+
+    def _rebind(
+        self,
+        goal: Struct,
+        typing: Substitution,
+        mgu: Substitution,
+        merged: Dict[Var, Term],
+        rebound: Dict[Var, Substitution],
+    ) -> Optional[Substitution]:
+        """``match(τ, goal θ)`` from the parent goal's typing ``T =
+        match(τ, goal)``, or ``None`` when it does not verify.
+
+        Lemma 2: the typing of ``goal θ`` is the union over the variables
+        ``x`` of ``goal`` of ``match(T(x), xθ)``, which is ``{x ↦ T(x)}``
+        for ``x ∉ dom θ``.  Agreement makes ``T(x)`` the parent's merged
+        type of ``x``, so each bound variable is matched once per step
+        (``rebound``) and its typing joins ``merged`` there, checked for
+        agreement with every other goal.  A goal variable missing from
+        ``T`` (a typing that bound a variable to itself) gets ``None``."""
+        if len(typing) != len(_variables_frozen(goal)):
+            return None
+        result: Dict[Var, Term] = {}
+        for var, type_term in typing.items():
+            value = mgu.get(var)
+            if value is None:
+                result[var] = type_term
+                continue
+            binding = rebound.get(var)
+            if binding is None:
+                binding = self.matcher.match(type_term, value)
+                if not _verified(binding, merged):
+                    return None
+                rebound[var] = binding  # type: ignore[assignment]
+            result.update(binding.items())  # type: ignore[union-attr]
+        return Substitution(result)
 
     # -- cover-constraint resolution ---------------------------------------------------
 

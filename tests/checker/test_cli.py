@@ -3,7 +3,7 @@
 import pytest
 
 from repro.checker.cli import main
-from repro.workloads import APPEND, ILL_TYPED_EXAMPLES
+from repro.workloads import APPEND, ILL_TYPED_EXAMPLES, SOURCES
 
 
 @pytest.fixture()
@@ -56,6 +56,26 @@ def test_run_reports_no_answers(write, capsys):
     assert main([path, "--run"]) == 0
     out = capsys.readouterr().out
     assert "no." in out
+
+
+#: Insertion sort of a descending list: the first answer lies deeper than a
+#: depth bound of 100.
+DEEP_SORT = SOURCES["insertion_sort"] + (
+    ":- isort(cons(succ(succ(succ(0))), cons(succ(succ(0)), cons(succ(0), cons(0, nil)))), S).\n"
+)
+
+
+@pytest.mark.parametrize("mode", ["--run", "--typed-run"])
+def test_a_search_cut_off_by_the_depth_bound_is_not_no(write, capsys, mode):
+    path = write("deep.tlp", DEEP_SORT)
+    assert main([path, mode, "--depth-limit", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "no answer within --depth-limit 10: the search was cut off." in out
+    assert "no." not in out
+    assert main([path, mode, "--depth-limit", "100"]) == 0
+    out = capsys.readouterr().out
+    assert "S = cons(0, cons(succ(0), " in out
+    assert "depth-limit" not in out
 
 
 def test_run_ground_success_prints_yes(write, capsys):

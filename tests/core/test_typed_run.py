@@ -95,3 +95,39 @@ def test_typed_run_code_is_reserved_outside_the_static_family():
 
     assert TYPED_RUN_CODE == "TLP590"
     assert all(rule.code != TYPED_RUN_CODE for rule in default_registry())
+
+
+#: A five-step countdown, then an OUT int flowing into an IN nat consumer:
+#: the violated resolvent ``makeint(_G…), usenat(_G…)`` holds a generated
+#: variable, drawn afresh by every run.
+COUNTDOWN = ILL_MODED.replace(":- makeint(X), usenat(X).\n", "") + (
+    "FUNC succ.\nnat >= succ(nat).\n"
+    "PRED down(nat).\nMODE down(IN).\ndown(0).\ndown(succ(N)) :- down(N).\n"
+    "PRED relay(nat).\nMODE relay(IN).\nrelay(0) :- makeint(X), usenat(X).\n"
+    ":- down(succ(succ(succ(succ(succ(0)))))), relay(0).\n"
+)
+
+
+def test_a_violation_renders_the_same_bytes_on_every_run():
+    module, runner = runner_for(COUNTDOWN)
+    texts = [runner.run(module.queries[0]).violation.render() for _ in range(3)]
+    assert texts[0] == texts[1] == texts[2]
+    assert "resolvent `makeint(_G0), usenat(_G0)`" in texts[0]
+    assert "variable _G0:" in texts[0]
+
+
+def test_rendering_keeps_the_users_names_and_never_reuses_them():
+    from repro.core.typed_run import SubjectReductionViolation
+    from repro.lang import parse_atom
+
+    violation = SubjectReductionViolation(
+        step=3,
+        goals=(parse_atom("p(_G0, _G41, X)"), parse_atom("q(_G41, _G7)")),
+        reason="_G7 : list(_E12) against _E3 and _E12",
+        written=frozenset({"_G0", "X"}),
+    )
+    assert violation.render() == (
+        "subject reduction violated at resolution step 3: resolvent "
+        "`p(_G0, _G1, X), q(_G1, _G2)` is not well-typed — "
+        "_G2 : list(_E0) against _E1 and _E0"
+    )

@@ -114,7 +114,7 @@ def _outcome(result):
     return (
         [_canonical(str(answer)) for answer in result.answers],
         result.steps,
-        [(v.step, _canonical(v.render())) for v in result.violations],
+        [(v.step, v.render()) for v in result.violations],
         [(str(answer), _canonical(reason)) for answer, reason in result.answer_violations],
     )
 
