@@ -28,12 +28,25 @@ node ids:
   (Theorems 1–2), but memoized in a process-lifetime pair table, with
   every pair whose right side is constructor-free delegated to the
   membership run above.
-* the ground fast path of ``match`` — Definition 13 restricted to ground
-  arguments collapses to three-valued logic (a typing is necessarily
-  empty), memoized per ``(τ, t)`` pair.  ``Matcher`` and the Section 7
-  :class:`~repro.core.constraint_match.ConstraintMatcher` disagree on
-  clause 3's evaluation order (fail-dominates vs first-non-typing-wins),
-  so each keeps its own table.
+* ground ``match`` (Definition 13 with ground ``τ`` and ``t``) — with
+  both sides ground a typing is necessarily empty, so the result is
+  three-valued: typing, fail or ⊥.  The walk's only ⊥ source is a type
+  constructor with no expansions.  When none is reachable from ``τ``
+  (through expansions and argument positions) every verdict is typing
+  or fail: clause 4 is an OR over the expansions and clause 3 an AND
+  over the arguments, and fail-dominates (``Matcher``) and
+  first-non-typing-wins (the Section 7
+  :class:`~repro.core.constraint_match.ConstraintMatcher`) both give
+  fail exactly when some argument fails.  So both matchers' verdicts are
+  membership, ``t ∈ M_C[[τ]]``, read off ``t``'s node state: one cached
+  entry per term node, shared by both modes, with a head filter (``t``'s
+  symbol heads no F-closure member of ``τ``: fail) in front.  A
+  function-headed ``τ`` is not registered; ``match_ground`` does its
+  clause-3 level itself and asks each argument the same way.  Types that
+  can reach ⊥, refused roots, terms holding a type constructor and
+  nested function heads keep the three-valued walk, memoized per
+  ``(τ, t)`` pair in one table per mode, because there the two clause-3
+  orders can disagree.
 
 Verdicts are *identical* to the deterministic engine's — the automaton
 is a cache/compilation layer, never a semantics change; the naive SLD
@@ -113,6 +126,11 @@ SPILL_SCHEMA = "tlp-automata-spill/1"
 _IMPURE = -1
 
 MatchVerdict = str  # "typing" | "fail" | "bottom"
+
+#: Match-root record: the walk decides this type.  No ⊥-free type has an
+#: empty F-closure (guardedness ends every expansion chain at a function
+#: symbol), so the empty set cannot be a real head set.
+_WALK: FrozenSet[Tuple[str, int]] = frozenset()
 
 
 class _BudgetExceeded(Exception):
@@ -222,13 +240,18 @@ class TreeAutomaton:
         self._gen = _Generation()
         #: product construction: (supertype, subtype) -> verdict.
         self._pair: Dict[Tuple[Struct, Struct], bool] = {}
-        #: ground match tables (Definition 13 vs the Section 7 variant).
+        #: ground match walk tables (Definition 13 vs the Section 7
+        #: variant), for the pairs node states cannot decide.
         self._match_memo: Dict[Tuple[Struct, Struct], MatchVerdict] = {}
         self._cmatch_memo: Dict[Tuple[Struct, Struct], MatchVerdict] = {}
+        #: constructor-headed ground match type -> its F-closure heads, or
+        #: _WALK when the walk must decide it.
+        self._match_roots: Dict[Struct, FrozenSet[Tuple[str, int]]] = {}
         # traffic counters (stats()/obs gauges)
         self.holds_calls = 0
         self.member_decided = 0
         self.match_calls = 0
+        self.match_decided = 0
         self.refusals = 0
         self.flushes = 0
         self.evictions = 0
@@ -515,7 +538,9 @@ class TreeAutomaton:
                 if self._gen is gen:
                     self._gen = _Generation()
                     self.evictions += 1
-        for table in (self._pair, self._match_memo, self._cmatch_memo):
+        for table in (
+            self._pair, self._match_memo, self._cmatch_memo, self._match_roots
+        ):
             if len(table) > self.max_cache_entries:
                 table.clear()
                 self.evictions += 1
@@ -583,12 +608,101 @@ class TreeAutomaton:
         collapses to three-valued logic.  ``constraint_mode`` selects the
         Section 7 matcher's clause-3 evaluation order: it short-circuits
         on the *first* non-typing component (so ⊥ before a later fail
-        wins), where Definition 13's matcher lets fail dominate ⊥.
+        wins), where Definition 13's matcher lets fail dominate ⊥.  Pairs
+        whose type cannot reach ⊥ are answered from node states, the same
+        in both modes (module docstring); the rest take the walk.
         """
         self.match_calls += 1
         self._maybe_evict()
         memo = self._cmatch_memo if constraint_mode else self._match_memo
-        return self._match_walk(type_term, term, memo, constraint_mode)
+        is_tc = self.symbols.is_type_constructor
+        if is_tc(type_term.functor):
+            verdict = self._node_verdict(type_term, term)
+            if verdict is None:
+                return self._match_walk(type_term, term, memo, constraint_mode)
+            self.match_decided += 1
+            return verdict
+        # Clause 3 at the root, one level deep: function-headed types are
+        # never registered, so each argument is asked on its own.
+        if type_term.functor != term.functor or len(type_term.args) != len(term.args):
+            self.match_decided += 1
+            return "fail"
+        verdict = "typing"
+        walked = False
+        for tau, sub in zip(type_term.args, term.args):
+            inner = self._node_verdict(tau, sub) if is_tc(tau.functor) else None
+            if inner is None:
+                walked = True
+                inner = self._match_walk(tau, sub, memo, constraint_mode)
+            if inner == "typing":
+                continue
+            # Constraint mode stops at the first non-typing argument;
+            # Definition 13 lets fail dominate ⊥.
+            if constraint_mode or inner == "fail":
+                verdict = inner
+                break
+            verdict = "bottom"
+        if not walked:
+            self.match_decided += 1
+        return verdict
+
+    def _node_verdict(self, type_term: Struct, term: Struct) -> Optional[MatchVerdict]:
+        """Ground ``match`` of a constructor-headed ``τ`` as membership:
+        ``"typing"`` or ``"fail"``, or ``None`` when the walk must decide
+        (``τ`` can reach ⊥ or was refused, or ``t`` holds a type
+        constructor below a head that ``τ`` accepts)."""
+        heads = self._match_roots.get(type_term)
+        if heads is None:
+            heads = self._match_root(type_term)
+        if not heads:
+            return None
+        if (term.functor, len(term.args)) not in heads:
+            return "fail"
+        # The root was registered before its record was written, so the
+        # current generation holds its rules.
+        gen = self._gen
+        state_id = self._node_state(gen, term)
+        if state_id == _IMPURE:
+            return None
+        return "typing" if type_term in gen.dsets[state_id] else "fail"
+
+    def _match_root(self, type_term: Struct) -> FrozenSet[Tuple[str, int]]:
+        """Build the record of one constructor-headed match type: the
+        ``(functor, arity)`` heads of its F-closure when it registers and
+        no ⊥ is reachable from it, else :data:`_WALK`."""
+        heads = _WALK
+        if self._register(type_term) and self._bottom_free(type_term):
+            # Registration already ran this closure within the same budget.
+            members = self._f_closure(type_term, self.root_state_budget)
+            heads = frozenset((member.functor, len(member.args)) for member in members)
+        self._match_roots[type_term] = heads
+        return heads
+
+    def _bottom_free(self, root: Struct) -> bool:
+        """True iff the walk from ``root`` can never meet a type
+        constructor without expansions, its only ⊥ source: the search
+        follows expansions of constructor types and the arguments of
+        function-headed ones.  Bounded by ``max_states`` types (a closure
+        over argument positions can be infinite, ``t(A) >= f(t(g(A)))``);
+        a search that outgrows it answers False, so the walk decides."""
+        is_tc = self.symbols.is_type_constructor
+        seen: Set[Term] = {root}
+        stack: List[Struct] = [root]
+        while stack:
+            tau = stack.pop()
+            if is_tc(tau.functor):
+                following: Tuple[Term, ...] = self._expansions_of(tau)
+                if not following:
+                    return False
+            else:
+                following = tau.args
+            for child in following:
+                if child not in seen:
+                    if len(seen) >= self.max_states:
+                        return False
+                    seen.add(child)
+                    stack.append(child)  # type: ignore[arg-type]
+        return True
 
     def _match_walk(
         self,
@@ -696,6 +810,7 @@ class TreeAutomaton:
             "holds_calls": self.holds_calls,
             "member_decided": self.member_decided,
             "match_calls": self.match_calls,
+            "match_decided": self.match_decided,
             "refusals": self.refusals,
             "flushes": self.flushes,
             "evictions": self.evictions,
@@ -739,9 +854,11 @@ class TreeAutomaton:
         self._pair = {}
         self._match_memo = {}
         self._cmatch_memo = {}
+        self._match_roots = {}
         self.holds_calls = 0
         self.member_decided = 0
         self.match_calls = 0
+        self.match_decided = 0
         self.refusals = 0
         self.flushes = 0
         self.evictions = 0
@@ -855,6 +972,7 @@ class AutomataStore:
                 ),
                 "holds_calls": sum(s["holds_calls"] for s in per),
                 "match_calls": sum(s["match_calls"] for s in per),
+                "match_decided": sum(s["match_decided"] for s in per),
                 "refusals": sum(s["refusals"] for s in per),
                 "flushes": sum(s["flushes"] for s in per),
                 "compiles": self.compiles,

@@ -179,6 +179,7 @@ def publish_runtime_gauges() -> None:
         "subtype.automaton.transitions_computed", automata["transitions_computed"]
     )
     METRICS.gauge("subtype.automaton.flushes", automata["flushes"])
+    METRICS.gauge("subtype.automaton.match_decided", automata["match_decided"])
     METRICS.gauge("subtype.automaton.cache_entries", automata["cache_entries"])
     METRICS.gauge("subtype.automaton.compiled", automata["compiles"])
     METRICS.gauge("subtype.automaton.attachments", automata["attachments"])
@@ -223,8 +224,9 @@ def runtime_stats_lines() -> "list[str]":
         f"tree automata: {automata['scopes']} compiled scope(s), "
         f"{automata['states']} state(s), {automata['transitions']} "
         f"transition(s) ({automata['transitions_computed']} computed, "
-        f"{automata['flushes']} flush(es)), {automata['attachments']} "
-        f"attachment(s){rate}"
+        f"{automata['flushes']} flush(es)), {automata['match_decided']} of "
+        f"{automata['match_calls']} ground match(es) from node states, "
+        f"{automata['attachments']} attachment(s){rate}"
     )
     return [intern_line, memo_line, automata_line]
 

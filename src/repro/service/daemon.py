@@ -520,6 +520,7 @@ class CheckService:
             "transitions_computed"
         ]
         gauges["subtype.automaton.flushes"] = automata["flushes"]
+        gauges["subtype.automaton.match_decided"] = automata["match_decided"]
         gauges["subtype.automaton.cache_entries"] = automata["cache_entries"]
         gauges["subtype.automaton.attachments"] = automata["attachments"]
         return gauges

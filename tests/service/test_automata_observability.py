@@ -99,3 +99,46 @@ def test_tlp_lint_stats_reports_automaton_gauges(capsys):
 
     assert gauge("flushes") > 0
     assert gauge("transitions_computed") >= gauge("transitions") > 0
+
+
+def test_match_decided_is_counted_summed_and_published():
+    from repro.core.automata import AUTOMATA, AutomataStore
+    from repro.lang import parse_term
+    from repro.workloads import nat_list, paper_universe
+
+    store = AutomataStore()
+    automaton = store.automaton_for(paper_universe())
+    automaton.match_ground(parse_term("list(nat)"), nat_list(8))
+    automaton.match_ground(parse_term("nat"), parse_term("nil"), constraint_mode=True)
+    per = automaton.stats()
+    assert per["match_calls"] == per["match_decided"] == 2
+    assert store.stats()["match_decided"] == 2
+
+    service = CheckService()
+    service.handle({"op": "check", "text": APPEND})
+    total = AUTOMATA.stats()["match_decided"]
+    assert total > 0
+    assert service._runtime_gauges()["subtype.automaton.match_decided"] == total
+    assert service.handle({"op": "health"})["health"]["automata"]["match_decided"] == total
+    assert any(
+        "ground match(es) from node states" in line for line in obs.runtime_stats_lines()
+    )
+    obs.METRICS.enable()
+    try:
+        obs.publish_runtime_gauges()
+        assert "tlp_subtype_automaton_match_decided" in obs.prometheus_text()
+    finally:
+        obs.METRICS.disable()
+
+
+def test_tlp_check_stats_reports_match_decided(tmp_path, capsys):
+    import re
+
+    from repro.checker.cli import main
+
+    path = tmp_path / "append.tlp"
+    path.write_text(APPEND)
+    assert main([str(path), "--stats"]) == 0
+    out = capsys.readouterr().out
+    found = re.search(r"^\s*subtype\.automaton\.match_decided\s+([\d,]+)\s*$", out, re.M)
+    assert found and int(found.group(1).replace(",", "")) > 0
