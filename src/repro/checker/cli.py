@@ -266,13 +266,17 @@ def _typed_run_queries(path: str, module, arguments) -> int:
     return aborted
 
 
-def _print_no_answer(result, depth_limit: int) -> None:
+def no_answer_line(hit_depth_limit: bool, bound: str) -> str:
     """``no.`` for a query with no answer, unless the depth bound pruned
-    the search: then the answer may lie beyond the bound, so say that."""
-    if result.hit_depth_limit:
-        print(f"   no answer within --depth-limit {depth_limit}: the search was cut off.")
-    else:
-        print("   no.")
+    the search: then the answer may lie beyond the bound, so name the
+    bound (``bound`` is the caller's wording of it)."""
+    if hit_depth_limit:
+        return f"no answer within {bound}: the search was cut off."
+    return "no."
+
+
+def _print_no_answer(result, depth_limit: int) -> None:
+    print("   " + no_answer_line(result.hit_depth_limit, f"--depth-limit {depth_limit}"))
 
 
 def _print_answer(answer) -> None:
