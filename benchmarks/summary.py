@@ -57,6 +57,7 @@ from repro import obs
 from repro.analysis import LintConfig, lint_text
 from repro.checker import check_text
 from repro.core import (
+    ConstraintMatcher,
     Matcher,
     NaiveSubtypeProver,
     SubtypeEngine,
@@ -132,14 +133,18 @@ class Group:
 def engine_group(quick: bool, scratch: Path) -> Group:
     """Theorems 1–3 membership and Definition 13 ``match`` as a process's
     first query pays them: a fresh engine on a freshly compiled automaton
-    (the intern table stays warm)."""
+    and an empty expansion table (the intern table stays warm)."""
     cset = paper_universe()
     nat, list_nat = T("nat"), T("list(nat)")
     benches = []
 
+    def cold() -> None:
+        AUTOMATA.clear()
+        cset._expansion_table.clear()
+
     def row(id_: str, label: str, query: Callable[[], object], expected) -> None:
         assert query() == expected, label
-        benches.append(Bench(id_, label, "cold", query, prepare=AUTOMATA.clear))
+        benches.append(Bench(id_, label, "cold", query, prepare=cold))
 
     for depth in (64, 256) if quick else (512, 4096, 32768):
         term = deep_nat(depth)
@@ -172,6 +177,17 @@ def engine_group(quick: bool, scratch: Path) -> Group:
             f"E4 match(list(nat), {length}-element list)",
             lambda term=term: Matcher(cset).match(list_nat, term),
             Matcher(cset, automata=False).match(list_nat, term),
+        )
+    # Section 7's matcher on an open type over a ground list: the checker's
+    # common case (a polymorphic predicate type meeting a ground argument).
+    open_list, element = T("list(A)"), Var("A")
+    for length in (64,) if quick else (256,):
+        term = nat_list(length)
+        row(
+            f"constraint_match.open_list.{length}",
+            f"E4 constraint match(list(A), {length}-element list), A solvable",
+            lambda term=term: ConstraintMatcher(cset).match(open_list, term, {element}),
+            ConstraintMatcher(cset, automata=False).match(open_list, term, {element}),
         )
     return Group(benches, repetitions=21 if quick else 31)
 

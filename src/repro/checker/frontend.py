@@ -28,7 +28,7 @@ callers can go straight from source text to typed execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set, Union
 
 from ..core.builtins import declare_builtins, uses_builtin_goals
 from ..core.declarations import ConstraintSet, DeclarationError, SubtypeConstraint, SymbolTable
@@ -54,6 +54,7 @@ from ..lang.ast import (
 from ..lang.lexer import LexError
 from ..lang.parser import ParseError, parse_file
 from ..lp.clause import Clause, Program, Query
+from ..terms.pretty import renumber_generated
 from ..terms.term import Struct, Term
 from .cancel import CancelToken, CheckCancelled, checkpoint
 from .diagnostics import DiagnosticBag
@@ -382,7 +383,10 @@ def _check_source(
         METRICS.inc("checker.clauses_checked")
         if not report.well_typed:
             METRICS.inc("checker.clauses_rejected")
-            bag.error(f"clause is not well-typed: {clause} — {report.reason}", item.position)
+            bag.error(
+                _stable_names(f"clause is not well-typed: {clause} — {report.reason}", clause),
+                item.position,
+            )
     query_items = source.of_kind(QueryDecl)
     for query, item in zip(module.queries, query_items):
         checkpoint(cancel)
@@ -398,7 +402,10 @@ def _check_source(
         METRICS.inc("checker.queries_checked")
         if not report.well_typed:
             METRICS.inc("checker.queries_rejected")
-            bag.error(f"query is not well-typed: {query} — {report.reason}", item.position)
+            bag.error(
+                _stable_names(f"query is not well-typed: {query} — {report.reason}", query),
+                item.position,
+            )
 
     # Step 4b: modes, when declared.
     if moded is not None:
@@ -417,6 +424,14 @@ def _check_source(
             for violation in mode_report.violations:
                 bag.error(f"mode violation: {violation}", item.position)
     return module
+
+
+def _stable_names(message: str, item: Union[Clause, Query]) -> str:
+    """A rejection message whose generated variable names (``_T5``,
+    ``_E12``) are renumbered by first appearance, leaving the names the
+    user wrote in ``item`` alone: the same file checks to the same text
+    whatever the process checked before it."""
+    return renumber_generated(message, {var.name for var in item.variables()})
 
 
 def check_text(text: str, cancel: Optional[CancelToken] = None) -> CheckedModule:

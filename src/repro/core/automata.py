@@ -75,11 +75,12 @@ Sharing and persistence
 ``ConstraintSet.fingerprint()`` and version-fenced alongside the
 :class:`~repro.core.shared_memo.SharedSubtypeMemo` — every per-file
 engine of a batch/daemon/aserver worker attaches to the same compiled
-automaton.  The compiled structure (states, rules, expansions) pickles;
-the batch runner and the daemon spill it next to the persistent result
-cache so fresh *processes* start compiled too.  Per-term caches are
-deliberately not spilled: their keys are arbitrarily deep terms (pickle
-recursion) and they rebuild in one walk.
+automaton.  The compiled structure (states and rules) pickles; the batch
+runner and the daemon spill it next to the persistent result cache so
+fresh *processes* start compiled too.  Per-term caches are deliberately
+not spilled: their keys are arbitrarily deep terms (pickle recursion) and
+they rebuild in one walk.  One-step expansions are read from the
+constraint set's own expansion table, which does not pickle either.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ import os
 import pickle
 import threading
 import time
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..obs import METRICS
 from ..terms.freeze import FROZEN_PREFIX
@@ -115,11 +116,11 @@ DEFAULT_MAX_STATES = 8192
 DEFAULT_ROOT_STATE_BUDGET = 256
 
 #: Soft cap for each per-term cache (node states, pair table, match
-#: tables, expansion cache); an overgrown cache restarts cold.
+#: tables); an overgrown cache restarts cold.
 DEFAULT_MAX_CACHE_ENTRIES = 1_000_000
 
 SPILL_FILENAME = "automata.pickle"
-SPILL_SCHEMA = "tlp-automata-spill/1"
+SPILL_SCHEMA = "tlp-automata-spill/2"
 
 #: Node-state sentinel: the term contains a type constructor somewhere,
 #: so the membership run does not apply (product construction instead).
@@ -235,8 +236,6 @@ class TreeAutomaton:
         self._index: Dict[Tuple[str, int], _RuleIndex] = {}
         self._refused: Set[Struct] = set()
         self._saturated = False
-        #: ground constructor-headed type -> its one-step expansions.
-        self._expansions: Dict[Struct, Tuple[Struct, ...]] = {}
         self._gen = _Generation()
         #: product construction: (supertype, subtype) -> verdict.
         self._pair: Dict[Tuple[Struct, Struct], bool] = {}
@@ -264,16 +263,10 @@ class TreeAutomaton:
 
     # -- NFA construction ----------------------------------------------------
 
-    def _expansions_of(self, type_term: Struct) -> Tuple[Struct, ...]:
-        """Cached one-step expansions of a *ground* constructor type."""
-        cached = self._expansions.get(type_term)
-        if cached is None:
-            cached = tuple(self.constraints.expansions(type_term))  # type: ignore[arg-type]
-            if len(self._expansions) > self.max_cache_entries:
-                self._expansions.clear()
-                self.evictions += 1
-            self._expansions[type_term] = cached
-        return cached
+    def _expansions_of(self, type_term: Struct) -> List[Struct]:
+        """One-step expansions of a *ground* constructor type, read from
+        the constraint set's expansion table (never changed here)."""
+        return self.constraints.expansions(type_term)  # type: ignore[return-value]
 
     def _f_closure(self, state: Struct, budget: int) -> List[Struct]:
         """Function-symbol-headed members of ``state``'s expansion closure.
@@ -691,7 +684,7 @@ class TreeAutomaton:
         while stack:
             tau = stack.pop()
             if is_tc(tau.functor):
-                following: Tuple[Term, ...] = self._expansions_of(tau)
+                following: Sequence[Term] = self._expansions_of(tau)
                 if not following:
                     return False
             else:
@@ -832,7 +825,6 @@ class TreeAutomaton:
                 "rules": {key: list(rows) for key, rows in self._rules.items()},
                 "refused": set(self._refused),
                 "saturated": self._saturated,
-                "expansions": dict(self._expansions),
             }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -849,7 +841,6 @@ class TreeAutomaton:
         self._index = {}
         self._refused = state["refused"]  # type: ignore[assignment]
         self._saturated = state["saturated"]  # type: ignore[assignment]
-        self._expansions = state["expansions"]  # type: ignore[assignment]
         self._gen = _Generation()
         self._pair = {}
         self._match_memo = {}

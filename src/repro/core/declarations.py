@@ -18,7 +18,10 @@ deterministic subtype engine: ``σ = τ{α_i ↦ τ_i}`` for some constraint
 *uniform polymorphic* constraints (Definition 6); for non-uniform ones
 (which the paper assigns meaning to but excludes from the algorithms) the
 expansion falls back to unification against a renamed-apart left-hand
-side.
+side.  Each set keeps one expansion table, keyed by the interned ``τ``:
+both matchers' clause 4, the subtype engine and the compiled automaton
+read it, so ``list(_E)`` is instantiated once per declaration scope, not
+once per ``cons`` cell of every list it types.
 """
 
 from __future__ import annotations
@@ -297,6 +300,9 @@ class ConstraintSet:
         #: ``constructor -> [(arity, template-or-None, constraint), ...]``.
         self._compiled: Dict[str, List[Tuple[int, object, SubtypeConstraint]]] = {}
         self._fingerprint: Optional[str] = None
+        #: ``expansions`` results by type term; bounded like the matcher
+        #: memos, emptied by ``add`` and never pickled.
+        self._expansion_table: Dict[Term, List[Term]] = {}
         if include_union and not self.symbols.is_type_constructor(UNION_TYPE):
             self.symbols.declare_type_constructor(UNION_TYPE, 2)
         for constraint in constraints:
@@ -320,6 +326,14 @@ class ConstraintSet:
             (len(constraint.lhs.args), _template_of(constraint), constraint)
         )
         self._fingerprint = None
+        self._expansion_table.clear()
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The expansion table keys on arbitrarily deep types, and open ones
+        # carry fresh variables no other process shares: rebuild it there.
+        state = dict(self.__dict__)
+        state["_expansion_table"] = {}
+        return state
 
     def fingerprint(self) -> str:
         """A stable digest of the whole declaration scope.
@@ -372,7 +386,14 @@ class ConstraintSet:
         general case); expansions that would instantiate variables of
         ``type_term`` itself are skipped, conservatively — the algorithms
         of Sections 3-6 are only defined for uniform sets anyway.
+
+        The list is the set's cached copy: callers read it and never
+        change it.
         """
+        table = self._expansion_table
+        cached = table.get(type_term)
+        if cached is not None:
+            return cached
         compiled = self._compiled.get(type_term.functor)
         if not compiled:
             return []
@@ -388,6 +409,9 @@ class ConstraintSet:
             expansion = self._expand_general(type_term, constraint)
             if expansion is not None:
                 out.append(expansion)
+        from .match import remember  # match imports this module
+
+        remember(table, type_term, out)
         return out
 
     def expand_with(

@@ -57,7 +57,6 @@ the tail goals a carried step re-typed from their bindings, and the
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
@@ -65,7 +64,7 @@ from ..lp.clause import Clause, Program, Query
 from ..lp.database import Database
 from ..lp.resolution import SLDEngine
 from ..obs import METRICS, TRACER, SubjectReductionEvent
-from ..terms.pretty import pretty
+from ..terms.pretty import pretty, renumber_generated
 from ..terms.substitution import Substitution
 from ..terms.term import Struct, variables_of
 from .moded_welltyped import ModedClauseReport, ModedWellTypedChecker
@@ -82,10 +81,6 @@ __all__ = [
 #: outside the registered TLP5xx *static* rule family on purpose: the
 #: verdict comes from execution, not from a lint pass.
 TYPED_RUN_CODE = "TLP590"
-
-#: A generated variable name: ``fresh_variable``'s ``_`` + capital stem +
-#: counter, as a whole word.
-_GENERATED = re.compile(r"(?<![A-Za-z0-9_])_[A-Z][0-9]+(?![A-Za-z0-9_])")
 
 
 @dataclass(frozen=True)
@@ -110,24 +105,7 @@ class SubjectReductionViolation:
             f"subject reduction violated at resolution step {self.step}: "
             f"resolvent `{resolvent}` is not well-typed — {self.reason}"
         )
-        names: Dict[str, str] = {}
-        counters: Dict[str, int] = {}
-
-        def rename(found: "re.Match[str]") -> str:
-            name = found.group()
-            if name in self.written:
-                return name
-            renamed = names.get(name)
-            if renamed is None:
-                stem = name[:2]
-                number = counters.get(stem, 0)
-                while f"{stem}{number}" in self.written:
-                    number += 1
-                counters[stem] = number + 1
-                renamed = names[name] = f"{stem}{number}"
-            return renamed
-
-        return _GENERATED.sub(rename, text)
+        return renumber_generated(text, self.written)
 
 
 @dataclass

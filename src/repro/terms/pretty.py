@@ -9,11 +9,12 @@ round-trips through ``repro.lang.parser``: for every term ``t``,
 
 from __future__ import annotations
 
-from typing import Iterable
+import re
+from typing import Collection, Dict, Iterable
 
 from .term import Struct, Term, Var
 
-__all__ = ["pretty", "pretty_args", "UNION_TYPE"]
+__all__ = ["pretty", "pretty_args", "renumber_generated", "UNION_TYPE"]
 
 UNION_TYPE = "+"
 
@@ -79,3 +80,34 @@ def pretty_args(args: Iterable[Term]) -> str:
         text = pretty(arg)
         rendered.append(text)
     return ", ".join(rendered)
+
+
+#: A generated variable name: ``fresh_variable``'s ``_`` + capital stem +
+#: counter, as a whole word.
+_GENERATED = re.compile(r"(?<![A-Za-z0-9_])_[A-Z][0-9]+(?![A-Za-z0-9_])")
+
+
+def renumber_generated(text: str, written: Collection[str] = ()) -> str:
+    """``text`` with generated variable names (``_G17``, ``_E575``: fresh
+    names whose numbers depend on everything the process ran before)
+    renumbered per stem by first appearance, skipping the ``written``
+    names (the user's own), so a message reads the same bytes however
+    much ran before it."""
+    names: Dict[str, str] = {}
+    counters: Dict[str, int] = {}
+
+    def rename(found: "re.Match[str]") -> str:
+        name = found.group()
+        if name in written:
+            return name
+        renamed = names.get(name)
+        if renamed is None:
+            stem = name[:2]
+            number = counters.get(stem, 0)
+            while f"{stem}{number}" in written:
+                number += 1
+            counters[stem] = number + 1
+            renamed = names[name] = f"{stem}{number}"
+        return renamed
+
+    return _GENERATED.sub(rename, text)
