@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..checker.diagnostics import Diagnostic, DiagnosticBag, Severity
-from ..lang.ast import Position, SourceFile
+from ..lang.ast import SourceFile
 from ..lang.lexer import LexError
-from ..lang.parser import ParseError, parse_file
+from ..lang.parser import ParseError, parse_file, syntax_error_site
 from ..obs import METRICS
 from .context import LintContext
 from .registry import (
@@ -104,12 +104,6 @@ class LintReport:
         return "\n".join(str(d) for d in self.diagnostics)
 
 
-def _strip_position_prefix(message: str, line: int, column: int) -> str:
-    """Drop the parser's embedded ``line:col:`` — the Diagnostic carries it."""
-    prefix = f"{line}:{column}: "
-    return message[len(prefix):] if message.startswith(prefix) else message
-
-
 def ruleset_fingerprint(
     config: Optional[LintConfig] = None,
     registry: Optional[RuleRegistry] = None,
@@ -160,30 +154,11 @@ def lint_text(
     try:
         with METRICS.time("analysis.parse"):
             source = parse_file(text)
-    except ParseError as error:
+    except (ParseError, LexError) as error:
         report = LintReport(path=path, fingerprint=registry.fingerprint(config))
-        token = error.token
-        position = Position(token.line, token.column, token.end_line, token.end_column)
+        message, position = syntax_error_site(error)
         bag = DiagnosticBag()
-        bag.error(
-            _strip_position_prefix(str(error), token.line, token.column),
-            position,
-            code=SYNTAX_ERROR_CODE,
-        )
-        report.diagnostics = list(bag)
-        if METRICS.enabled:
-            METRICS.inc(f"analysis.rule.{SYNTAX_ERROR_CODE}")
-            METRICS.inc("analysis.files")
-            METRICS.inc("analysis.files_with_errors")
-        return report
-    except LexError as error:
-        report = LintReport(path=path, fingerprint=registry.fingerprint(config))
-        bag = DiagnosticBag()
-        bag.error(
-            _strip_position_prefix(str(error), error.line, error.column),
-            Position(error.line, error.column, error.line, error.column + 1),
-            code=SYNTAX_ERROR_CODE,
-        )
+        bag.error(message, position, code=SYNTAX_ERROR_CODE)
         report.diagnostics = list(bag)
         if METRICS.enabled:
             METRICS.inc(f"analysis.rule.{SYNTAX_ERROR_CODE}")

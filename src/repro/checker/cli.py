@@ -38,7 +38,7 @@ from ..core.typed_run import TYPED_RUN_CODE, TypedRunner
 from ..lp.constrained import ConstrainedInterpreter
 from ..lp.database import Database
 from ..terms.freeze import freeze_with_mapping
-from ..terms.pretty import pretty
+from ..terms.pretty import pretty, renumber_generated
 from ..terms.substitution import Substitution
 from ..terms.term import variables_of
 from .frontend import check_text
@@ -198,9 +198,7 @@ def _run_queries(module, max_answers: int, depth_limit: int) -> int:
             if not c_result.answers:
                 _print_no_answer(c_result, depth_limit)
             for c_answer in c_result.answers:
-                _print_answer(c_answer.substitution)
-                for residue in c_answer.residual:
-                    print(f"     | {residue}")
+                _print_answer(c_answer.substitution, query.goals, c_answer.residual)
             continue
         result = runner.run(
             query,
@@ -212,7 +210,7 @@ def _run_queries(module, max_answers: int, depth_limit: int) -> int:
         if not result.answers:
             _print_no_answer(result, depth_limit)
         for answer in result.answers:
-            _print_answer(answer)
+            _print_answer(answer, query.goals)
         if not result.ok:
             violations += len(result.violations) + len(result.answer_violations)
             print(f"   !! {len(result.violations)} resolvent consistency violations")
@@ -243,7 +241,7 @@ def _typed_run_queries(path: str, module, arguments) -> int:
         if not result.answers:
             _print_no_answer(result, arguments.depth_limit)
         for answer in result.answers:
-            _print_answer(answer)
+            _print_answer(answer, query.goals)
         if result.violation is not None:
             aborted += 1
             position = (
@@ -279,15 +277,30 @@ def _print_no_answer(result, depth_limit: int) -> None:
     print("   " + no_answer_line(result.hit_depth_limit, f"--depth-limit {depth_limit}"))
 
 
-def _print_answer(answer) -> None:
+def answer_bindings(answer) -> str:
+    """An answer substitution as ``X = t, Y = u`` (by variable name), or
+    ``yes.`` when it binds nothing."""
     if len(answer) == 0:
-        print("   yes.")
-        return
-    bindings = ", ".join(
+        return "yes."
+    return ", ".join(
         f"{var} = {pretty(value)}"
         for var, value in sorted(answer.items(), key=lambda pair: pair[0].name)
     )
-    print(f"   {bindings}")
+
+
+def stable_answer(message: str, goals) -> str:
+    """``message`` (one answer with its residue) with generated variable
+    names renumbered by first appearance, leaving the names written in
+    the query ``goals`` alone: a query answers in the same bytes whatever
+    the process ran before it."""
+    written = {var.name for goal in goals for var in variables_of(goal)}
+    return renumber_generated(message, written)
+
+
+def _print_answer(answer, goals, residual=()) -> None:
+    lines = [f"   {answer_bindings(answer)}"]
+    lines.extend(f"     | {residue}" for residue in residual)
+    print(stable_answer("\n".join(lines), goals))
 
 
 def _has_constraint_goal(goals) -> bool:

@@ -52,7 +52,7 @@ from ..lang.ast import (
     TypeDecl,
 )
 from ..lang.lexer import LexError
-from ..lang.parser import ParseError, parse_file
+from ..lang.parser import ParseError, parse_file, syntax_error_site
 from ..lp.clause import Clause, Program, Query
 from ..terms.pretty import renumber_generated
 from ..terms.term import Struct, Term
@@ -441,7 +441,7 @@ def check_text(text: str, cancel: Optional[CancelToken] = None) -> CheckedModule
         with METRICS.time("checker.parse"):
             source = parse_file(text)
     except (ParseError, LexError) as error:
-        module.diagnostics.error(str(error))
+        module.diagnostics.error(*syntax_error_site(error))
         return module
     checkpoint(cancel)
     return check_source(source, cancel)

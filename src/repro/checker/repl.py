@@ -34,7 +34,7 @@ from ..lang.parser import ParseError, parse_query, parse_term
 from ..lp.clause import Query
 from ..terms.pretty import pretty
 from ..terms.term import Struct, fresh_variable, is_ground
-from .cli import no_answer_line
+from .cli import answer_bindings, no_answer_line, stable_answer
 from .frontend import CheckedModule, check_text
 
 __all__ = ["Repl", "run_session", "main"]
@@ -318,14 +318,7 @@ class Repl:
         if not result.answers:
             out.append("no.")
         for answer in result.answers:
-            if len(answer) == 0:
-                out.append("yes.")
-            else:
-                bindings = ", ".join(
-                    f"{var} = {pretty(value)}"
-                    for var, value in sorted(answer.items(), key=lambda p: p[0].name)
-                )
-                out.append(bindings)
+            out.append(stable_answer(answer_bindings(answer), query.goals))
         if not result.ok:
             out.append(
                 f"!! {len(result.violations)} resolvent consistency violations"
@@ -352,18 +345,10 @@ class Repl:
                 )
             )
         for answer in result.answers:
-            if len(answer.substitution) == 0:
-                line = "yes."
-            else:
-                line = ", ".join(
-                    f"{var} = {pretty(value)}"
-                    for var, value in sorted(
-                        answer.substitution.items(), key=lambda p: p[0].name
-                    )
-                )
+            line = answer_bindings(answer.substitution)
             if answer.residual:
                 line += "   | " + ", ".join(str(c) for c in answer.residual)
-            out.append(line)
+            out.append(stable_answer(line, goals))
         return out
 
     # -- type-system meta-commands -------------------------------------------------------

@@ -23,12 +23,14 @@ The scanner (:class:`Scan`) is one regular expression whose every match is
 a lexeme and the white space and comments after it; ``findall`` hands the
 parser the lexemes as a list of strings, and a small table gives each
 distinct lexeme its kind.  No per-token object is built and no position is
-stored per token.  Line/column positions are computed only where something
-reads them — item boundaries and error sites: a token's offset is the sum
-of the lexeme and layout lengths before it, and its line and column come
-from one list of newline offsets per text, searched with
-:func:`bisect.bisect_left`.  :func:`tokenize` derives the public
-:class:`Token` list from the same scan.
+stored per token.  Positions are computed only where something reads
+them.  An item's span comes from the item terminators: outside a ``%``
+comment every ``.`` is a ``DOT`` token, so :meth:`Scan.item_spans`, one
+lazy scan for ``.`` that steps over comments, ends each item at its
+closing dot and starts it where the layout after the previous dot
+stops.  Error sites and :func:`tokenize` re-run the lexeme scan with
+``finditer`` to get token offsets.  Line and column come from one list
+of newline offsets per text, searched with :func:`bisect.bisect_left`.
 
 Only ``\\n`` starts a new line; every other white-space character (``\\r``,
 ``\\x1c``, ``\\x85``, ...) advances the column like any other character.
@@ -38,7 +40,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 __all__ = ["Token", "TokenKind", "LexError", "Scan", "tokenize", "KEYWORDS"]
 
@@ -104,11 +107,16 @@ _LEXEME = r"(?:\w+|:-|>=|=:=|=<|[(),.+:<]|\S)"
 _LAYOUT = r"(?:\s+|%[^\n]*)*"
 #: The scan: one match per lexeme and the layout after it, so the next
 #: match starts at the next lexeme.  Nothing can fail after the lexeme, so
-#: the scanner never backtracks.  ``findall`` returns the lexemes, or on
-#: demand the layouts, as plain strings — no per-token object.
-_LEXEMES = re.compile(f"({_LEXEME}){_LAYOUT}").findall
-_LAYOUTS = re.compile(f"{_LEXEME}({_LAYOUT})").findall
+#: the scanner never backtracks.  ``findall`` returns the lexemes as plain
+#: strings — no per-token object; ``finditer`` gives their offsets where
+#: something asks for them.
+_TOKENS = re.compile(f"({_LEXEME}){_LAYOUT}")
+_LEXEMES = _TOKENS.findall
+_TOKEN_MATCHES = _TOKENS.finditer
 _LEADING_LAYOUT = re.compile(_LAYOUT).match
+#: Item terminators: a ``.`` outside a comment (group 1).  A comment is
+#: matched whole so that the dots inside it are stepped over.
+_TERMINATORS = re.compile(r"%[^\n]*|(\.)").finditer
 _NEWLINE = re.compile("\n").finditer
 
 _OPERATOR_KINDS: Dict[str, str] = {
@@ -156,13 +164,13 @@ class Scan:
 
     ``lexemes[i]``/``kinds[i]`` describe the ``i``-th token; both lists
     end with an ``EOF`` entry (lexeme ``""``).  Offsets are not stored:
-    :meth:`start` adds up the lengths of the lexemes and layouts before a
-    token, resuming from the last offset it computed, so the parser's
-    in-order queries cost one pass over the text in all.  Raises
-    :class:`LexError` at the first character outside the token language.
+    :meth:`item_spans` finds item boundaries from the terminating dots,
+    and :meth:`start` rescans for the offset of one token (error sites
+    only).  Raises :class:`LexError` at the first character outside the
+    token language.
     """
 
-    __slots__ = ("text", "lexemes", "kinds", "_lead", "_layouts", "_cursor", "_newlines")
+    __slots__ = ("text", "lexemes", "kinds", "lead", "_newlines")
 
     def __init__(self, text: str) -> None:
         lead = _LEADING_LAYOUT(text).end()
@@ -170,9 +178,7 @@ class Scan:
         kinds = list(map(_Kinds(_OPERATOR_KINDS).__getitem__, lexemes))
         self.text = text
         self.lexemes = lexemes
-        self._lead = lead
-        self._layouts: Optional[List[str]] = None
-        self._cursor = (0, lead)
+        self.lead = lead
         self._newlines: Optional[List[int]] = None
         if "" in kinds:
             start = self.start(kinds.index(""))
@@ -183,18 +189,10 @@ class Scan:
         self.kinds = kinds
 
     def start(self, index: int) -> int:
-        """The offset of token ``index`` (``EOF``: the end of the text)."""
-        layouts = self._layouts
-        if layouts is None:
-            layouts = self._layouts = _LAYOUTS(self.text, self._lead)
-        done, offset = self._cursor
-        if index < done:
-            done, offset = 0, self._lead
-        if index > done:
-            offset += sum(map(len, self.lexemes[done:index]))
-            offset += sum(map(len, layouts[done:index]))
-            self._cursor = (index, offset)
-        return offset
+        """The offset of token ``index`` (``EOF``: the end of the text).
+        Rescans the text up to the token."""
+        match = next(islice(_TOKEN_MATCHES(self.text, self.lead), index, None), None)
+        return len(self.text) if match is None else match.start()
 
     def line_column(self, offset: int) -> Tuple[int, int]:
         """The 1-based line and column of character ``offset``."""
@@ -204,9 +202,32 @@ class Scan:
         before = bisect_left(newlines, offset)
         return before + 1, offset - (newlines[before - 1] if before else -1)
 
+    def item_spans(self) -> Iterator[Tuple[int, int, int, int]]:
+        """The ``(line, column, end_line, end_column)`` of each item in
+        turn, read off as the parser finishes them.
+
+        Outside a comment every ``.`` is a ``DOT`` token and only item
+        ends consume one, so in a text that parses item ``k`` ends at the
+        ``k``-th such dot and starts where the layout after the previous
+        dot (or the leading layout) stops.
+        """
+        text = self.text
+        line_column = self.line_column
+        after = 0
+        for match in _TERMINATORS(text):
+            if match.lastindex:
+                dot = match.start()
+                line, column = line_column(_LEADING_LAYOUT(text, after).end())
+                end_line, end_column = line_column(dot)
+                yield line, column, end_line, end_column + 1
+                after = dot + 1
+
     def token(self, index: int) -> Token:
         """Token ``index`` with its position."""
-        line, column = self.line_column(self.start(index))
+        return self._token(index, self.start(index))
+
+    def _token(self, index: int, offset: int) -> Token:
+        line, column = self.line_column(offset)
         text = self.lexemes[index]
         return Token(self.kinds[index], text, line, column, line, column + len(text))
 
@@ -214,4 +235,9 @@ class Scan:
 def tokenize(text: str) -> List[Token]:
     """Tokenize ``text``; the result always ends with an ``EOF`` token."""
     scan = Scan(text)
-    return [scan.token(index) for index in range(len(scan.kinds))]
+    tokens = [
+        scan._token(index, match.start())
+        for index, match in enumerate(_TOKEN_MATCHES(text, scan.lead))
+    ]
+    tokens.append(scan._token(len(tokens), len(text)))
+    return tokens

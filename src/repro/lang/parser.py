@@ -27,6 +27,12 @@ Items are parsed by recursive descent; terms (``union`` and everything
 below it) by one loop over an explicit stack, so term nesting depth is
 bounded by memory, not by the interpreter's recursion limit.
 
+The parser tracks no token positions.  Every item ends with the one
+``.`` it consumes, so item ``k``'s span runs from the end of the layout
+after the ``(k-1)``-th terminating dot through the ``k``-th
+(:meth:`~repro.lang.lexer.Scan.item_spans`); a token's offset is looked
+up only for a :class:`ParseError`.
+
 ``predarg`` is the paper's Section 7 surface form ``PRED p(OUT nat).``:
 an optional ``IN``/``OUT`` keyword before each argument type.  Either
 every argument carries a mode or none does — a partial annotation is a
@@ -41,7 +47,7 @@ a union or a variable head is a parse error.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from ..terms.term import Struct, Term, Var
 from ..terms.pretty import UNION_TYPE
@@ -57,7 +63,7 @@ from .ast import (
     SourceFile,
     TypeDecl,
 )
-from .lexer import Scan, Token, TokenKind
+from .lexer import LexError, Scan, Token, TokenKind
 
 #: An open ``name(`` or ``(`` during term parsing: functor (``None`` for a
 #: parenthesised union), arguments so far (``None`` likewise), and the
@@ -72,6 +78,7 @@ __all__ = [
     "parse_atom",
     "parse_clause",
     "parse_query",
+    "syntax_error_site",
 ]
 
 #: The kinds the term loop compares per token, as module globals.
@@ -91,11 +98,23 @@ class ParseError(Exception):
         self.token = token
 
 
+def syntax_error_site(error: Union[ParseError, LexError]) -> Tuple[str, Position]:
+    """A syntax error's message without its ``line:col:`` prefix, and the
+    span it names (the offending token, or the one bad character): what a
+    diagnostic, which carries its own position, needs."""
+    if isinstance(error, ParseError):
+        token = error.token
+        position = Position(token.line, token.column, token.end_line, token.end_column)
+    else:
+        position = Position(error.line, error.column, error.line, error.column + 1)
+    prefix = f"{position.line}:{position.column}: "
+    return str(error)[len(prefix):], position
+
+
 class _Parser:
     """Recursive descent over one :class:`Scan`.  The cursor is the index
     ``index`` into the scan's parallel ``lexemes``/``kinds`` lists;
-    ``last`` is the index of the last consumed token, the end of the
-    current item's span."""
+    ``spans`` hands out the source range of each finished item in turn."""
 
     def __init__(self, text: str) -> None:
         scan = Scan(text)
@@ -103,7 +122,7 @@ class _Parser:
         self.lexemes = scan.lexemes
         self.kinds = scan.kinds
         self.index = 0
-        self.last = 0
+        self.spans = scan.item_spans()
 
     # -- token plumbing ---------------------------------------------------
 
@@ -116,16 +135,14 @@ class _Parser:
         index = self.index
         if self.kinds[index] != TokenKind.EOF:
             self.index = index + 1
-        self.last = index
         return self.lexemes[index]
 
-    def _span(self, start: int) -> Position:
-        """The source range from token ``start`` through the last consumed
-        token."""
-        scan = self.scan
-        line, column = scan.line_column(scan.start(start))
-        end_line, end_column = scan.line_column(scan.start(self.last))
-        return Position(line, column, end_line, end_column + len(self.lexemes[self.last]))
+    def end_item(self) -> Position:
+        """Consume the current item's closing ``.`` and return the item's
+        source range: the next one :meth:`Scan.item_spans` yields, since
+        items end in order and only their ends consume a dot."""
+        self.expect(TokenKind.DOT, "'.'")
+        return Position(*next(self.spans))
 
     def check(self, kind: str, text: str = "") -> bool:
         index = self.index
@@ -202,7 +219,6 @@ class _Parser:
                     break
                 if not frames:
                     self.index = i
-                    self.last = i - 1
                     return term
                 functor, args, left = frames[-1]
                 if kind == _COMMA and args is not None:
@@ -219,7 +235,6 @@ class _Parser:
                     term = Struct(functor, tuple(args))  # type: ignore[arg-type]
                     if whole_atom and not frames:
                         self.index = i
-                        self.last = i - 1
                         return term
 
     #: Infix goals: Section 7's typed-unification constraint ``X : nat``
@@ -275,18 +290,15 @@ class _Parser:
             if keyword == "FUNC":
                 self.advance()
                 names = self.namelist()
-                self.expect(TokenKind.DOT, "'.'")
-                return FuncDecl(names, self._span(start))
+                return FuncDecl(names, self.end_item())
             if keyword == "TYPE":
                 self.advance()
                 names = self.namelist()
-                self.expect(TokenKind.DOT, "'.'")
-                return TypeDecl(names, self._span(start))
+                return TypeDecl(names, self.end_item())
             if keyword == "PRED":
                 self.advance()
                 head, inline_modes = self.pred_head()
-                self.expect(TokenKind.DOT, "'.'")
-                return PredDecl(head, self._span(start), inline_modes)
+                return PredDecl(head, self.end_item(), inline_modes)
             if keyword == "MODE":
                 self.advance()
                 name = self.expect(_NAME, "a predicate name")
@@ -296,19 +308,16 @@ class _Parser:
                     while self.accept(_COMMA):
                         modes.append(self.mode())
                     self.expect(_RPAREN, "')'")
-                self.expect(TokenKind.DOT, "'.'")
-                return ModeDecl(name, tuple(modes), self._span(start))
+                return ModeDecl(name, tuple(modes), self.end_item())
             raise self.error("keyword not allowed here")
         if self.accept(TokenKind.IMPLIES):
             body = self.query_goals()
-            self.expect(TokenKind.DOT, "'.'")
-            return QueryDecl(body, self._span(start))
+            return QueryDecl(body, self.end_item())
         # Constraint or clause: both start with a term.
         lhs = self.union()
         if self.accept(TokenKind.GEQ):
             rhs = self.union()
-            self.expect(TokenKind.DOT, "'.'")
-            return ConstraintDecl(lhs, rhs, self._span(start))
+            return ConstraintDecl(lhs, rhs, self.end_item())
         if not isinstance(lhs, Struct) or lhs.functor == UNION_TYPE:
             raise self.error("clause head must be a predicate application", start)
         body: Tuple[Struct, ...] = ()
@@ -316,8 +325,7 @@ class _Parser:
             # Clause bodies may carry ':' constraints too (they then opt
             # into the constrained execution model, like queries).
             body = self.query_goals()
-        self.expect(TokenKind.DOT, "'.'")
-        return ClauseDecl(lhs, body, self._span(start))
+        return ClauseDecl(lhs, body, self.end_item())
 
     def pred_head(self) -> Tuple[Struct, Optional[Tuple[str, ...]]]:
         """A ``PRED`` declaration head, with optional §7 inline modes.

@@ -85,7 +85,12 @@ __all__ = ["CHECKER_VERSION", "CachedResult", "ResultCache"]
 #: "6": built-in constraint predicates get declared signatures in the
 #: frontend and the TLP6xx polymorphic-constraint rules change lint
 #: findings — pre-typed-CLP indexes must not replay.
-CHECKER_VERSION = "6"
+#: "7": rendered text changed — generated type variables renumbered per
+#: message (``_T0``), TLP401/TLP402 success types numbered, and syntax
+#: errors carry their position (``2:9: error: ...``) — older indexes
+#: would replay the old text.  ``tests/service/test_checker_version_fence.py``
+#: pins a digest of the rendered text to this version.
+CHECKER_VERSION = "7"
 
 INDEX_NAME = "tlp-cache.json"
 JOURNAL_NAME = "tlp-cache.journal"

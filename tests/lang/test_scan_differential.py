@@ -22,7 +22,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.lang import LexError, ParseError, parse_file, tokenize
+from repro.analysis import lint_text
+from repro.checker import check_text
+from repro.lang import LexError, ParseError, parse_file, syntax_error_site, tokenize
 
 # -- the reference lexer (frozen) ----------------------------------------------------
 
@@ -180,9 +182,41 @@ def surface_text(draw):
 @example("p(a) ? q.")
 @example("p(a)\n  q.")
 @example("ǅ")
+# Item spans come from the terminating dots: dots and '%' in comments,
+# layout before items and a last item without a newline.
+@example("FUNC a. % not. an. item.\nTYPE t.\n")
+@example("FUNC a.\nTYPE t.\n% trailing. dots.")
+@example("FUNC a.\nTYPE t.")
+@example("FUNC a.% c.\nTYPE t.%.")
+@example("% ... . .. .\n%.\n\nFUNC a.\n")
+@example("\r\n\x85FUNC a.\r\n\x85 TYPE t.\x85\r\np(a).")
 @settings(max_examples=1500, deadline=None)
 def test_generated_text_matches_the_reference(text):
     assert_same_as_reference(text)
+
+
+@given(surface_text())
+@example("FUNC a.\np(a) :- .\n")
+@example("FUNC a.\np(a) :- ?.\n")
+@settings(max_examples=300, deadline=None)
+def test_checker_and_lint_place_syntax_errors_alike(text):
+    try:
+        parse_file(text)
+        return
+    except (LexError, ParseError) as error:
+        rendered = str(error)
+        message, position = syntax_error_site(error)
+    assert rendered == f"{position}: {message}"
+
+    def sites(diagnostics):
+        return [
+            (d.message, d.position.line, d.position.column,
+             d.position.end_line, d.position.end_column)
+            for d in diagnostics
+        ]
+
+    expected = [(message, position.line, position.column, position.end_line, position.end_column)]
+    assert sites(check_text(text).diagnostics) == sites(lint_text(text).diagnostics) == expected
 
 
 @given(st.text(max_size=120))

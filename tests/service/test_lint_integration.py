@@ -31,8 +31,9 @@ def make_project(tmp_path, text=CLEAN_WITH_SINGLETON):
 def test_checker_version_is_bumped():
     # Built-in constraint signatures and the TLP6xx polymorphic rules
     # change frontend verdicts and lint findings: version "5" indexes
-    # (and older) must not replay into this build.
-    assert CHECKER_VERSION == "6"
+    # (and older) must not replay into this build.  "7": renumbered
+    # generated names and positioned syntax errors change rendered text.
+    assert CHECKER_VERSION == "7"
 
 
 def test_lint_findings_ride_in_results_and_cache(tmp_path):

@@ -2,7 +2,7 @@
 
 import asyncio
 
-from repro.service.aserver.lsp import INFER_ACTION_TITLE, LspServer
+from repro.service.aserver.lsp import INFER_ACTION_TITLE, LspServer, diagnostic_to_lsp
 from repro.service.aserver.protocol import (
     METHOD_NOT_FOUND,
     JsonRpcStream,
@@ -371,3 +371,11 @@ def test_tlp502_quickfix_inserts_filter_and_resolves_the_finding():
         await session.notify("exit")
 
     _run(scenario)
+
+
+def test_a_syntax_error_is_published_at_its_token_by_checker_and_linter():
+    found = LspServer._analyze("FUNC a.\np(a) :- .\n", "/tmp/broken.tlp")
+    published = [diagnostic_to_lsp(diagnostic, source) for diagnostic, source in found]
+    assert [entry["source"] for entry in published] == ["tlp-check", "tlp-lint"]
+    expected = {"start": {"line": 1, "character": 8}, "end": {"line": 1, "character": 9}}
+    assert [entry["range"] for entry in published] == [expected, expected]
