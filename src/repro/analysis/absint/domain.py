@@ -169,6 +169,9 @@ class TypeDomain:
     def __init__(self, constraints: ConstraintSet, engine: SubtypeEngine) -> None:
         self.constraints = constraints
         self.engine = engine
+        #: (member, constructor) → whether the constructor's free-hole
+        #: instance covers the member.
+        self._covers: Dict[Tuple[Term, Tuple[str, int]], bool] = {}
 
     # -- orderings -----------------------------------------------------------
 
@@ -216,16 +219,23 @@ class TypeDomain:
 
     # -- folding -------------------------------------------------------------
 
+    def _covers_member(self, constructor: Tuple[str, int], member: Term) -> bool:
+        verdict = self._covers.get((member, constructor))
+        if verdict is None:
+            name, arity = constructor
+            verdict = self.engine.more_general(
+                Struct(name, _holes(arity)), _share_variables(member)
+            )
+            self._covers[member, constructor] = verdict
+        return verdict
+
     def _covering_constructors(self, members: Sequence[Term]) -> List[Tuple[str, int]]:
-        shared = [_share_variables(member) for member in members]
-        covering: List[Tuple[str, int]] = []
-        for name, arity in self.constraints.symbols.type_constructors.items():
-            if name == UNION_TYPE:
-                continue
-            candidate = Struct(name, _holes(arity))
-            if all(self.engine.more_general(candidate, s) for s in shared):
-                covering.append((name, arity))
-        return covering
+        return [
+            constructor
+            for constructor in self.constraints.symbols.type_constructors.items()
+            if constructor[0] != UNION_TYPE
+            and all(self._covers_member(constructor, member) for member in members)
+        ]
 
     def _constructor_le(self, tighter: Tuple[str, int], looser: Tuple[str, int]) -> bool:
         """``looser(H̄) ⪰ tighter(U, …, U)`` with the tighter side frozen —

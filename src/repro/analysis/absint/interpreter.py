@@ -37,6 +37,20 @@ member calling into a shared prelude's ``PRED``) are assumed to succeed
 on their declared types; predicates that are neither declared nor
 defined contribute no information at all (open world).
 
+**The loop.** Each component is swept in a fixed order — every clause
+of every predicate, then (from sweep ``widen_after`` on) one widening
+step — until a sweep changes nothing.  A sweep skips a clause whose
+defined callees are in the states its last evaluation saw: every
+predicate carries a version, bumped at each state change (a join that
+added a member, a widening that truncated one, the ⊤ cap), and each
+clause remembers its callees' versions.  The skip is exact.  A clause's
+contribution depends only on its callees' folded tuples and ⊥-ness, the
+fixed ``PRED`` declarations and fresh names that ``canonical`` removes,
+and re-joining a contribution already joined changes nothing, since some
+current member (the contribution itself, the member that replaced it,
+its widened truncation, or ⊤) subsumes it.  A component whose callees
+are all in earlier components thus evaluates each clause once.
+
 **Termination.** Joins are capped and canonically renamed (see the
 domain), after ``widen_after`` iterations members are depth-truncated
 (the depth-bounded widening that makes recursive *polymorphic*
@@ -44,7 +58,9 @@ predicates converge), and a hard iteration cap forces the component to
 ⊤ — so the fixpoint terminates on every input.
 
 Telemetry (``repro.obs``): ``analysis.absint.fixpoint`` timer plus
-``analysis.absint.{predicates,sccs,iterations,widenings}`` counters.
+``analysis.absint.{predicates,sccs,iterations,widenings}`` counters, and
+``analysis.absint.evaluations`` / ``analysis.absint.reused`` — the
+clause evaluations run and the ones skipped on unchanged callees.
 """
 
 from __future__ import annotations
@@ -140,9 +156,13 @@ class ProgramInference:
             indicator: None for indicator in self.clauses_by_pred
         }
         self._fold_memo: Dict[Indicator, Tuple[Term, ...]] = {}
+        #: Per-defined-predicate state version, bumped at every change.
+        self._version: Dict[Indicator, int] = dict.fromkeys(self.clauses_by_pred, 0)
         self._widened: Set[Indicator] = set()
         self.iterations = 0
         self.widenings = 0
+        self.evaluations = 0
+        self.reused = 0
         #: Final abstract values, filled by the fixpoint.
         self.success: Dict[Indicator, SuccessSet] = {}
         self._reconstructions = None
@@ -152,6 +172,8 @@ class ProgramInference:
         if METRICS.enabled:
             METRICS.inc("analysis.absint.predicates", len(self.clauses_by_pred))
             METRICS.inc("analysis.absint.iterations", self.iterations)
+            METRICS.inc("analysis.absint.evaluations", self.evaluations)
+            METRICS.inc("analysis.absint.reused", self.reused)
             if self.widenings:
                 METRICS.inc("analysis.absint.widenings", self.widenings)
 
@@ -178,16 +200,30 @@ class ProgramInference:
                 continue
             if METRICS.enabled:
                 METRICS.inc("analysis.absint.sccs")
+            work = [
+                (indicator, clause, self._defined_callees(clause))
+                for indicator in defined
+                for clause in self.clauses_by_pred[indicator]
+            ]
+            # The callee versions each clause was last evaluated under.
+            stamps: List[Optional[Tuple[int, ...]]] = [None] * len(work)
             iteration = 0
             while True:
                 iteration += 1
                 self.iterations += 1
                 changed = False
-                for indicator in defined:
-                    for clause in self.clauses_by_pred[indicator]:
-                        contribution = self._evaluate_clause(clause)
-                        if contribution is not None:
-                            changed |= self._merge(indicator, contribution)
+                for index, (indicator, clause, callees) in enumerate(work):
+                    stamp = tuple(self._version[callee] for callee in callees)
+                    if stamp == stamps[index]:
+                        # Same inputs as last time: that contribution is
+                        # merged, and some current member subsumes it.
+                        self.reused += 1
+                        continue
+                    stamps[index] = stamp
+                    self.evaluations += 1
+                    contribution = self._evaluate_clause(clause)
+                    if contribution is not None:
+                        changed |= self._merge(indicator, contribution)
                 if iteration >= self.widen_after:
                     changed |= self._widen(defined)
                 if not changed:
@@ -209,13 +245,28 @@ class ProgramInference:
                     widened=indicator in self._widened,
                 )
 
+    def _defined_callees(self, clause: ClauseDecl) -> Tuple[Indicator, ...]:
+        """The defined predicates whose states ``clause``'s evaluation
+        reads; everything else it reads (declared ``PRED`` types, the
+        constraint set) is fixed for the whole fixpoint."""
+        return tuple(
+            goal.indicator
+            for goal in clause.body
+            if not _is_constraint_goal(goal) and goal.indicator in self.clauses_by_pred
+        )
+
+    def _changed(self, indicator: Indicator) -> None:
+        """``indicator``'s state changed: drop its fold and stamp it anew."""
+        self._fold_memo.pop(indicator, None)
+        self._version[indicator] += 1
+
     def _merge(self, indicator: Indicator, contribution: Tuple[Term, ...]) -> bool:
         state = self._state[indicator]
         if state is None:
             self._state[indicator] = [
                 [canonical(component)] for component in contribution
             ]
-            self._fold_memo.pop(indicator, None)
+            self._changed(indicator)
             return True
         changed = False
         for position, component in enumerate(contribution):
@@ -227,7 +278,7 @@ class ProgramInference:
                     self._widened.add(indicator)
                     self.widenings += 1
         if changed:
-            self._fold_memo.pop(indicator, None)
+            self._changed(indicator)
         return changed
 
     def _widen(self, defined: Iterable[Indicator]) -> bool:
@@ -236,13 +287,15 @@ class ProgramInference:
             state = self._state[indicator]
             if state is None:
                 continue
+            widened = False
             for position in state:
                 if self.domain.widen_members(position):
-                    changed = True
+                    widened = True
                     self._widened.add(indicator)
                     self.widenings += 1
-            if changed:
-                self._fold_memo.pop(indicator, None)
+            if widened:
+                self._changed(indicator)
+                changed = True
         return changed
 
     def _force_top(self, defined: Iterable[Indicator]) -> None:
@@ -254,7 +307,7 @@ class ProgramInference:
                 position[:] = [Var("_A0")]
             self._widened.add(indicator)
             self.widenings += 1
-            self._fold_memo.pop(indicator, None)
+            self._changed(indicator)
 
     # -- views over the state ------------------------------------------------
 

@@ -174,12 +174,19 @@ def check_singleton_variables(ctx: LintContext) -> None:
 )
 def check_undeclared_symbols(ctx: LintContext) -> None:
     reported: Set[str] = set()
+    # Interned object terms share subtrees across items: every symbol
+    # under a node checked once is declared or already reported.
+    checked: Set[Struct] = set()
 
     def check_object(term: Term, owner) -> None:
-        for sub in subterms(term):
-            if not isinstance(sub, Struct) or sub.functor in reported:
+        stack = [term]
+        while stack:
+            sub = stack.pop()
+            if not isinstance(sub, Struct) or sub in checked:
                 continue
-            if ctx.is_func_name(sub.functor):
+            checked.add(sub)
+            stack.extend(reversed(sub.args))
+            if sub.functor in reported or ctx.is_func_name(sub.functor):
                 continue
             reported.add(sub.functor)
             if ctx.is_type_name(sub.functor):

@@ -32,7 +32,7 @@ from ..lang.ast import (
     TypeDecl,
 )
 from ..terms.pretty import UNION_TYPE
-from ..terms.term import Struct, Term, Var, subterms
+from ..terms.term import Struct, Term
 
 __all__ = ["LintContext"]
 
@@ -114,10 +114,18 @@ class LintContext:
         return ctx
 
     def _record_arities(self) -> None:
+        # Interned terms share subtrees across items: a node seen once has
+        # had its whole subtree recorded.
+        seen: Set[Struct] = set()
+
         def record(term: Term) -> None:
-            for sub in subterms(term):
-                if isinstance(sub, Struct):
+            stack = [term]
+            while stack:
+                sub = stack.pop()
+                if isinstance(sub, Struct) and sub not in seen:
+                    seen.add(sub)
                     self.arities.setdefault(sub.functor, set()).add(len(sub.args))
+                    stack.extend(sub.args)
 
         for item in self.constraint_items:
             record(item.lhs)

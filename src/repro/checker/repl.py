@@ -30,7 +30,7 @@ from .. import obs
 from ..core.subtype import SubtypeEngine
 from ..core.typed_run import TypedRunner
 from ..lang.lexer import LexError
-from ..lang.parser import ParseError, parse_query, parse_term
+from ..lang.parser import ParseError, parse_query, parse_term, syntax_error_site
 from ..lp.clause import Query
 from ..terms.pretty import pretty
 from ..terms.term import Struct, fresh_variable, is_ground
@@ -276,13 +276,9 @@ class Repl:
         return self.profiler.report().render_table().splitlines()
 
     def _why(self, rest: str) -> List[str]:
-        text = rest if rest.startswith(":-") else f":- {rest}"
-        if not text.rstrip().endswith("."):
-            text += "."
-        try:
-            parsed = parse_query(text)
-        except (ParseError, LexError) as error:
-            return [f"syntax error: {error}"]
+        parsed, errors = self._parse_query(rest)
+        if parsed is None:
+            return errors
         checker = self.module.moded_checker or self.module.checker
         report = checker.check_query(Query(parsed.body))
         explain = getattr(report, "explain", None)
@@ -293,14 +289,26 @@ class Repl:
 
     # -- queries ---------------------------------------------------------------------
 
-    def _query(self, line: str) -> List[str]:
-        text = line if line.startswith(":-") else f":- {line}"
+    def _parse_query(self, line: str):
+        """Parse a typed line as a query (``:-`` and the final ``.`` are
+        optional); a syntax error's column counts in ``line`` itself."""
+        prefix = "" if line.startswith(":-") else ":- "
+        text = prefix + line
         if not text.rstrip().endswith("."):
             text += "."
         try:
-            parsed = parse_query(text)
+            return parse_query(text), None
         except (ParseError, LexError) as error:
-            return [f"syntax error: {error}"]
+            message, position = syntax_error_site(error)
+            column = position.column
+            if position.line == 1:
+                column -= len(prefix)
+            return None, [f"syntax error: {position.line}:{column}: {message}"]
+
+    def _query(self, line: str) -> List[str]:
+        parsed, errors = self._parse_query(line)
+        if parsed is None:
+            return errors
         if any(g.functor == ":" and len(g.args) == 2 for g in parsed.body):
             return self._constrained_query(parsed.body)
         query = Query(parsed.body)

@@ -436,7 +436,7 @@ class CheckService:
         from ..analysis.polytypes import solve_text
         from ..core.declarations import DeclarationError
         from ..lang.lexer import LexError
-        from ..lang.parser import ParseError
+        from ..lang.parser import ParseError, syntax_error_site
 
         self.solves += 1
         if METRICS.enabled:
@@ -444,7 +444,10 @@ class CheckService:
         started = time.perf_counter()
         try:
             solved = solve_text(text, path=display)
-        except (LexError, ParseError, DeclarationError) as error:
+        except (LexError, ParseError) as error:
+            message, position = syntax_error_site(error)
+            return self._error("solve", f"{display}:{position}: error: {message}")
+        except DeclarationError as error:
             return self._error("solve", f"{display}: {error}")
         if solved is None:
             return self._error(

@@ -35,6 +35,19 @@ def test_syntax_error_reported():
     assert out[0].startswith("syntax error")
 
 
+def test_syntax_error_columns_count_in_the_typed_line():
+    # `?` is column 10 of the line as typed, with or without `:-`.
+    out = run_session(
+        APPEND,
+        ["app(nil, ?, R).", ":- app(nil, ?, R).", ":why app(nil, ?, R)"],
+    )
+    assert out == [
+        "syntax error: 1:10: unexpected character '?'",
+        "syntax error: 1:13: unexpected character '?'",
+        "syntax error: 1:10: unexpected character '?'",
+    ]
+
+
 def test_sub_command():
     out = run_session(NATURALS_ARITHMETIC, [":sub int >= nat", ":sub nat >= int"])
     assert out == ["int >= nat: yes", "nat >= int: no"]

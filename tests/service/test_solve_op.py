@@ -68,6 +68,15 @@ def test_solve_reports_syntax_errors_without_dying():
     assert service.handle({"op": "stats"})["ok"]
 
 
+def test_solve_places_a_syntax_error_like_check():
+    service = CheckService()
+    text = "FUNC a.\np(a) :- .\n"
+    solved = service.handle({"op": "solve", "text": text})
+    checked = service.handle({"op": "check", "text": text})
+    assert checked["diagnostics"] == ["2:9: error: expected a term (found '.')"]
+    assert solved["error"] == "<text>:" + checked["diagnostics"][0]
+
+
 def test_solve_needs_exactly_one_input():
     service = CheckService()
     assert not service.handle({"op": "solve"})["ok"]
